@@ -1,6 +1,8 @@
 #include "rlwe/gadget.h"
 
 #include <bit>
+#include <memory>
+#include <optional>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -313,6 +315,123 @@ externalProduct(const Ciphertext& ct, const RgswCiphertext& C)
     Ciphertext out = gadgetApply(b, C.forB);
     const Ciphertext fromA = gadgetApply(a, C.forA);
     out.addInPlace(fromA);
+    return out;
+}
+
+std::pair<Ciphertext, Ciphertext>
+externalProductPair(const Ciphertext& ct, const RgswCiphertext& C0,
+                    const RgswCiphertext& C1)
+{
+    auto basis = ct.b.basisPtr();
+    const size_t n = ct.b.n();
+    const size_t l = ct.b.limbCount();
+    const GadgetParams& gp = C0.forB.params();
+    const int d = gp.digitsPerLimb;
+    const size_t rows = l * static_cast<size_t>(d);
+    for (const GadgetCiphertext* half :
+         {&C0.forB, &C0.forA, &C1.forB, &C1.forA}) {
+        const GadgetParams& p = half->params();
+        HEAP_CHECK(p.baseBits == gp.baseBits && p.digitsPerLimb == d
+                       && p.balanced == gp.balanced,
+                   "externalProductPair needs one gadget for all halves");
+        HEAP_CHECK(half->rowCount() >= rows,
+                   "gadget ciphertext has too few rows");
+    }
+
+    // One decomposition for both products: b's digits (against the
+    // forB halves), then a's (against the forA halves).
+    math::ScratchFrame scratch;
+    auto digits = scratch.borrowSigned(2 * rows * n);
+    std::optional<math::RnsPoly> converted;
+    auto coeffForm = [&](const math::RnsPoly& p) -> const math::RnsPoly& {
+        if (p.domain() == Domain::Coeff) {
+            return p;
+        }
+        converted.emplace(p);
+        converted->toCoeff();
+        return *converted;
+    };
+    decomposeInto(coeffForm(ct.b), gp, digits.first(rows * n));
+    decomposeInto(coeffForm(ct.a), gp, digits.subspan(rows * n));
+
+    std::pair<Ciphertext, Ciphertext> out;
+    for (Ciphertext* c : {&out.first, &out.second}) {
+        c->a = math::RnsPoly(basis, l, Domain::Eval);
+        c->b = math::RnsPoly(basis, l, Domain::Eval);
+    }
+
+    // Per output limb: lift + NTT each digit once into `row`, then
+    // multiply it into the four outputs' 128-bit sums. A product is
+    // below q^2 and a reduced sum below q, so `budget` products on top
+    // of a reduced sum stay below q * 2^64, the reducer's domain; sums
+    // mod q are exact, so reducing once at the end (or whenever the
+    // budget runs out) gives the canonical values externalProduct's
+    // per-product reductions give.
+    auto processLimb = [&](size_t k) {
+        const uint64_t qk = basis->modulus(k);
+        const auto& red = basis->reducer(k);
+        const uint64_t budget = ~uint64_t{0} / qk;
+        const math::KernelOps& ops = math::kernels();
+        math::ScratchFrame inner;
+        auto row = inner.borrow(n);
+        // Construct the uint128 sums in place: [ep0.a | ep0.b | ep1.a |
+        // ep1.b], n each.
+        auto* acc = reinterpret_cast<math::uint128*>(
+            inner.borrow(8 * n).data());
+        std::uninitialized_fill_n(acc, 4 * n, math::uint128{0});
+        uint64_t terms = 0;
+        for (int s = 0; s < 2; ++s) {
+            const GadgetCiphertext& K0 = s == 0 ? C0.forB : C0.forA;
+            const GadgetCiphertext& K1 = s == 0 ? C1.forB : C1.forA;
+            for (size_t i = 0; i < l; ++i) {
+                for (int j = 0; j < d; ++j) {
+                    const size_t r = i * static_cast<size_t>(d)
+                                     + static_cast<size_t>(j);
+                    ops.liftSigned(row.data(),
+                                   digits.data()
+                                       + (static_cast<size_t>(s) * rows + r)
+                                             * n,
+                                   n, qk);
+                    basis->ntt(k).forward(row);
+                    if (terms == budget) {
+                        for (size_t t = 0; t < 4 * n; ++t) {
+                            acc[t] = red.reduce(acc[t]);
+                        }
+                        terms = 0;
+                    }
+                    ++terms;
+                    const Ciphertext& r0 = K0.row(i, j);
+                    const Ciphertext& r1 = K1.row(i, j);
+                    const uint64_t* k0a = r0.a.limb(k).data();
+                    const uint64_t* k0b = r0.b.limb(k).data();
+                    const uint64_t* k1a = r1.a.limb(k).data();
+                    const uint64_t* k1b = r1.b.limb(k).data();
+                    for (size_t t = 0; t < n; ++t) {
+                        const math::uint128 x = row[t];
+                        acc[t] += x * k0a[t];
+                        acc[n + t] += x * k0b[t];
+                        acc[2 * n + t] += x * k1a[t];
+                        acc[3 * n + t] += x * k1b[t];
+                    }
+                }
+            }
+        }
+        uint64_t* dst[4] = {
+            out.first.a.limb(k).data(), out.first.b.limb(k).data(),
+            out.second.a.limb(k).data(), out.second.b.limb(k).data()};
+        for (size_t c = 0; c < 4; ++c) {
+            for (size_t t = 0; t < n; ++t) {
+                dst[c][t] = red.reduce(acc[c * n + t]);
+            }
+        }
+    };
+    if (l >= 2 && n >= 1024) {
+        parallelFor(0, l, 1, processLimb);
+    } else {
+        for (size_t k = 0; k < l; ++k) {
+            processLimb(k);
+        }
+    }
     return out;
 }
 

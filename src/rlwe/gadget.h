@@ -25,6 +25,7 @@
 #define HEAP_RLWE_GADGET_H
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "rlwe/rlwe.h"
@@ -154,6 +155,20 @@ RgswCiphertext rgswEncryptConstant(const SecretKey& sk, int64_t value,
  * output has ct's limb count, Eval domain.
  */
 Ciphertext externalProduct(const Ciphertext& ct, const RgswCiphertext& C);
+
+/**
+ * Both external products ct (x) C0 and ct (x) C1 of one ternary CMux
+ * step, from a single decomposition of ct: every digit is lifted and
+ * forward-NTT'd once and multiplied into both RGSWs, and each output
+ * coefficient is Barrett-reduced once from a 128-bit sum instead of
+ * after every product. Byte-identical to
+ * {externalProduct(ct, C0), externalProduct(ct, C1)}.
+ *
+ * @pre C0 and C1 use the same gadget parameters
+ */
+std::pair<Ciphertext, Ciphertext> externalProductPair(
+    const Ciphertext& ct, const RgswCiphertext& C0,
+    const RgswCiphertext& C1);
 
 /**
  * Internal product RGSW(muA) (x) RGSW(muB) -> RGSW(muA * muB): every

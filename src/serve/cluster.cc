@@ -100,6 +100,7 @@ ServiceCluster::ServiceCluster(
         breakers_.emplace_back(cfg_.breaker);
     }
     podLoadMs_.assign(pods_.size(), 0.0);
+    retryGateMs_.assign(pods_.size(), 0.0);
     if (cfg_.chaos) {
         chaos_ = std::make_unique<ChaosEngine>(*cfg_.chaos);
     }
@@ -373,9 +374,17 @@ ServiceCluster::onAttemptDone(
             // Never re-dispatch from here — this hook may hold the
             // failing pod's lock, and submitting to another pod nests
             // pod locks (deadlock). The failover thread re-dispatches.
+            // A retry's own gate would open microseconds after the
+            // previous one's, and a sweep that wakes at the earlier
+            // gate would split the pod's backlog: join the pod's gate
+            // while it is closed (see FailoverPolicy::backoffMs).
             std::lock_guard<std::mutex> lock(retryM_);
-            retryQ_.push_back(Retry{flight, err,
-                                    nowMs() + cfg_.failover.backoffMs});
+            const double now = nowMs();
+            double& gate = retryGateMs_[podIdx];
+            if (gate <= now) {
+                gate = now + cfg_.failover.backoffMs;
+            }
+            retryQ_.push_back(Retry{flight, err, gate});
         }
         retryCv_.notify_all();
         return;

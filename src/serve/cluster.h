@@ -102,7 +102,11 @@ struct FailoverPolicy {
      *  failover: the first retryable failure is terminal. */
     uint32_t maxAttempts = 3;
     /** Delay before a failed-over request is re-dispatched. 0 retries
-     *  immediately (the deterministic default for tests). */
+     *  immediately (the deterministic default for tests). A pod's
+     *  failures share one gate while it is closed: a retry from a pod
+     *  with a retry still waiting gets that retry's gate, so a crash
+     *  flush (the pod's whole backlog failing through back-to-back
+     *  hooks) comes due, and re-dispatches, in one sweep. */
     double backoffMs = 0.0;
     /** Abandon retries once the modeled remaining deadline budget is
      *  below one modeled request cost (the retry could only miss). */
@@ -453,6 +457,8 @@ class ServiceCluster {
     std::mutex retryM_;
     std::condition_variable retryCv_;
     std::deque<Retry> retryQ_;
+    /** Per pod: the backoff gate its latest failures were given. */
+    std::vector<double> retryGateMs_;
     bool stopRetry_ = false;
     std::thread failoverThread_;
 };

@@ -50,6 +50,49 @@ accumulateRotatedDiff(rlwe::Ciphertext& acc, const rlwe::Ciphertext& ep,
     accumulateRotatedDiffPoly(acc.b, ep.b, k);
 }
 
+/**
+ * ACC <- (0, f * X^b), after checking that `lwe` and f fit the key:
+ * the accumulator before the first CMux step.
+ */
+rlwe::Ciphertext
+initialAccumulator(const lwe::LweCiphertext& lwe,
+                   const math::RnsPoly& testPoly, const BlindRotateKey& brk)
+{
+    HEAP_CHECK(testPoly.domain() == math::Domain::Coeff,
+               "test polynomial must be in Coeff domain");
+    const uint64_t twoN = 2 * testPoly.n();
+    HEAP_CHECK(lwe.modulus == twoN,
+               "blindRotate expects an LWE ciphertext modulo 2N = "
+                   << twoN << ", got " << lwe.modulus);
+    HEAP_CHECK(lwe.dimension() == brk.dimension(),
+               "LWE dimension does not match blind-rotate key");
+    return rlwe::trivialEncrypt(testPoly.monomialMul(lwe.b % twoN));
+}
+
+/**
+ * Ternary CMux step i for mask element a:
+ *   acc += (X^a - 1) * (acc (x) brk+_i) + (X^-a - 1) * (acc (x) brk-_i).
+ * Both external products read the old accumulator, so they share one
+ * decomposition (rlwe::externalProductPair).
+ */
+void
+rotateStep(rlwe::Ciphertext& acc, uint64_t a, const BlindRotateKey& brk,
+           size_t i)
+{
+    const uint64_t twoN = 2 * acc.b.n();
+    a %= twoN;
+    if (a == 0) {
+        // (X^0 - 1) annihilates both terms exactly.
+        return;
+    }
+    auto [epPlus, epMinus] =
+        rlwe::externalProductPair(acc, brk.plus[i], brk.minus[i]);
+    epPlus.toCoeff();
+    epMinus.toCoeff();
+    accumulateRotatedDiff(acc, epPlus, a);
+    accumulateRotatedDiff(acc, epMinus, twoN - a);
+}
+
 } // namespace
 
 BlindRotateKey
@@ -109,34 +152,9 @@ rlwe::Ciphertext
 blindRotate(const lwe::LweCiphertext& lwe, const math::RnsPoly& testPoly,
             const BlindRotateKey& brk)
 {
-    const size_t n = testPoly.n();
-    const uint64_t twoN = 2 * n;
-    HEAP_CHECK(lwe.modulus == twoN,
-               "blindRotate expects an LWE ciphertext modulo 2N = "
-                   << twoN << ", got " << lwe.modulus);
-    HEAP_CHECK(lwe.dimension() == brk.dimension(),
-               "LWE dimension does not match blind-rotate key");
-    HEAP_CHECK(testPoly.domain() == math::Domain::Coeff,
-               "test polynomial must be in Coeff domain");
-
-    // ACC <- (0, f * X^b).
-    rlwe::Ciphertext acc =
-        rlwe::trivialEncrypt(testPoly.monomialMul(lwe.b % twoN));
-
+    rlwe::Ciphertext acc = initialAccumulator(lwe, testPoly, brk);
     for (size_t i = 0; i < lwe.dimension(); ++i) {
-        const uint64_t ai = lwe.a[i] % twoN;
-        if (ai == 0) {
-            // (X^0 - 1) annihilates both terms exactly.
-            continue;
-        }
-        // Both external products read the *old* accumulator.
-        rlwe::Ciphertext epPlus = externalProduct(acc, brk.plus[i]);
-        rlwe::Ciphertext epMinus = externalProduct(acc, brk.minus[i]);
-        epPlus.toCoeff();
-        epMinus.toCoeff();
-
-        accumulateRotatedDiff(acc, epPlus, ai);
-        accumulateRotatedDiff(acc, epMinus, twoN - ai);
+        rotateStep(acc, lwe.a[i], brk, i);
     }
     return acc;
 }
@@ -164,34 +182,15 @@ std::vector<rlwe::Ciphertext>
 blindRotateBatch(std::span<const lwe::LweCiphertext> lwes,
                  const math::RnsPoly& testPoly, const BlindRotateKey& brk)
 {
-    const size_t n = testPoly.n();
-    const uint64_t twoN = 2 * n;
-    HEAP_CHECK(testPoly.domain() == math::Domain::Coeff,
-               "test polynomial must be in Coeff domain");
     std::vector<rlwe::Ciphertext> accs;
     accs.reserve(lwes.size());
     for (const auto& lwe : lwes) {
-        HEAP_CHECK(lwe.modulus == twoN && lwe.dimension()
-                       == brk.dimension(),
-                   "batch ciphertext shape mismatch");
-        accs.push_back(
-            rlwe::trivialEncrypt(testPoly.monomialMul(lwe.b % twoN)));
+        accs.push_back(initialAccumulator(lwe, testPoly, brk));
     }
     // Key-major loop: brk_i serves every accumulator before brk_{i+1}.
     for (size_t i = 0; i < brk.dimension(); ++i) {
         for (size_t c = 0; c < accs.size(); ++c) {
-            const uint64_t ai = lwes[c].a[i] % twoN;
-            if (ai == 0) {
-                continue;
-            }
-            rlwe::Ciphertext epPlus =
-                externalProduct(accs[c], brk.plus[i]);
-            rlwe::Ciphertext epMinus =
-                externalProduct(accs[c], brk.minus[i]);
-            epPlus.toCoeff();
-            epMinus.toCoeff();
-            accumulateRotatedDiff(accs[c], epPlus, ai);
-            accumulateRotatedDiff(accs[c], epMinus, twoN - ai);
+            rotateStep(accs[c], lwes[c].a[i], brk, i);
         }
     }
     return accs;

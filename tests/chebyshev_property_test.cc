@@ -25,6 +25,13 @@ struct FnCase {
     double homTol;  ///< homomorphic vs true function bound
 };
 
+// gtest otherwise prints the raw bytes, pointers included, into the
+// discovered test name, which then changes with every build under ASLR.
+void PrintTo(const FnCase& c, std::ostream* os)
+{
+    *os << c.name << " degree " << c.degree;
+}
+
 class ChebyshevFunctions : public ::testing::TestWithParam<FnCase> {};
 
 TEST_P(ChebyshevFunctions, HomomorphicMatchesFunction)

@@ -32,6 +32,11 @@ struct GateCase {
     bool truth[4]; ///< outputs for (00, 01, 10, 11)
 };
 
+// gtest otherwise prints the raw bytes, member-function pointer
+// included, into the discovered test name, which then changes with
+// every build under ASLR.
+void PrintTo(const GateCase& c, std::ostream* os) { *os << c.name; }
+
 class GateTruthTable : public ::testing::TestWithParam<GateCase> {};
 
 TEST_P(GateTruthTable, Exhaustive)

@@ -3,7 +3,7 @@
  * Thread-local scratch arena: LIFO frame semantics, span stability
  * across chunk growth, and the no-allocation steady state of the hot
  * paths that borrow from it (rescale, gadget apply / external
- * product).
+ * product, the fused CMux step and blind rotation).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "math/rns.h"
 #include "math/scratch.h"
 #include "rlwe/gadget.h"
+#include "tfhe/blind_rotate.h"
 
 namespace {
 
@@ -94,7 +95,7 @@ TEST(ScratchArena, ArenasAreThreadLocal)
 
 // The tentpole no-allocation guarantee: once the arena has warmed up,
 // repeated passes through the scratch-using hot paths (rescale,
-// external product) must not grow it.
+// external product, fused CMux step, blind rotation) must not grow it.
 TEST(ScratchSteadyState, HotPathsDoNotGrowArenaAfterWarmup)
 {
     const size_t n = 256;
@@ -110,8 +111,18 @@ TEST(ScratchSteadyState, HotPathsDoNotGrowArenaAfterWarmup)
     auto ct = rlwe::encrypt(sk, rnsFromSigned(basis, 2, m), rng);
     ct.toCoeff();
 
+    const std::vector<int64_t> lweSecret = {1, 0, -1, 1};
+    const auto brk = tfhe::makeBlindRotateKey(sk, lweSecret, gadget, rng);
+    const auto f = tfhe::buildIdentityTestPoly(basis, 2, 1000);
+    lwe::LweCiphertext lwe;
+    lwe.modulus = 2 * n;
+    lwe.a = {5, 0, 300, 511};
+    lwe.b = 17;
+
     auto pass = [&] {
         auto out = rlwe::externalProduct(ct, C);
+        auto pair = rlwe::externalProductPair(ct, C, C);
+        auto acc = tfhe::blindRotate(lwe, f, brk);
         RnsPoly p(basis, 3, Domain::Eval);
         p.rescaleLastLimb();
     };

@@ -2,11 +2,13 @@
  * @file
  * TFHE layer tests: LUT/test-polynomial algebra (exhaustive over all
  * rotation amounts), BlindRotate correctness sweeps, CMux selection,
- * programmable bootstrapping, homomorphic automorphisms, and the
- * Chen et al. repacking.
+ * programmable bootstrapping, homomorphic automorphisms, the
+ * Chen et al. repacking, and the fused CMux step's identity with two
+ * plain external products.
  */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -280,6 +282,136 @@ TEST_F(TfheFixture, LweToRlweKeepsConstantCoefficient)
     const auto dec = rlwe::decryptSigned(rct, sk);
     EXPECT_NEAR(static_cast<double>(dec[0]), static_cast<double>(m),
                 32.0);
+}
+
+// The fused CMux step (one decomposition, one reduction per output
+// coefficient for both external products) must be word-for-word the
+// unfused computation, including where the 128-bit sums have to be
+// reduced mid-loop.
+struct FusedShape {
+    const char* name;
+    size_t n;
+    int primeBits;
+    size_t limbs;
+    rlwe::GadgetParams gadget;
+};
+
+std::vector<uint64_t>
+ciphertextWords(const rlwe::Ciphertext& ct)
+{
+    std::vector<uint64_t> words;
+    for (const math::RnsPoly* p : {&ct.a, &ct.b}) {
+        for (size_t l = 0; l < p->limbCount(); ++l) {
+            const auto limb = p->limb(l);
+            words.insert(words.end(), limb.begin(), limb.end());
+        }
+    }
+    words.push_back(static_cast<uint64_t>(ct.domain()));
+    return words;
+}
+
+/** Algorithm 1 with two plain external products per step. */
+rlwe::Ciphertext
+oracleBlindRotate(const lwe::LweCiphertext& lwe, const math::RnsPoly& f,
+                  const BlindRotateKey& brk)
+{
+    const uint64_t twoN = 2 * f.n();
+    rlwe::Ciphertext acc = rlwe::trivialEncrypt(f.monomialMul(lwe.b % twoN));
+    for (size_t i = 0; i < brk.dimension(); ++i) {
+        const uint64_t a = lwe.a[i] % twoN;
+        if (a == 0) {
+            continue;
+        }
+        rlwe::Ciphertext plus = rlwe::externalProduct(acc, brk.plus[i]);
+        rlwe::Ciphertext minus = rlwe::externalProduct(acc, brk.minus[i]);
+        plus.toCoeff();
+        minus.toCoeff();
+        // acc += plus * (X^a - 1) + minus * (X^-a - 1)
+        acc.addInPlace(plus.monomialMul(a));
+        acc.subInPlace(plus);
+        acc.addInPlace(minus.monomialMul(twoN - a));
+        acc.subInPlace(minus);
+    }
+    return acc;
+}
+
+TEST(FusedCmuxStep, MatchesTwoExternalProductsWordForWord)
+{
+    const FusedShape shapes[] = {
+        {"bootstrap N=64 4x30b 6x6", 64, 30, 4,
+         {.baseBits = 6, .digitsPerLimb = 6}},
+        {"N=1024 2x30b 10x3", 1024, 30, 2,
+         {.baseBits = 10, .digitsPerLimb = 3}},
+        {"N=64 3x62b 4x16", 64, 62, 3,
+         {.baseBits = 4, .digitsPerLimb = 16}},
+    };
+    const size_t lweDim = 6;
+    for (const FusedShape& shape : shapes) {
+        const auto basis = std::make_shared<math::RnsBasis>(
+            shape.n, math::generateNttPrimes(shape.primeBits, shape.n,
+                                             shape.limbs));
+        if (shape.primeBits >= 60) {
+            // Each 128-bit sum takes 2 * limbs * d = 96 products: more
+            // than fit below q * 2^64, so the mid-loop reduction must
+            // fire, and enough to overflow 128 bits if it did not.
+            const uint64_t budget = ~uint64_t{0} / basis->modulus(0);
+            ASSERT_GT(2 * shape.limbs
+                          * static_cast<size_t>(shape.gadget.digitsPerLimb),
+                      budget);
+        }
+        for (const uint64_t seed : {7ULL, 21ULL, 42ULL}) {
+            SCOPED_TRACE(::testing::Message()
+                         << shape.name << " seed " << seed);
+            Rng rng(seed);
+            const auto sk = rlwe::SecretKey::sampleTernary(basis, rng);
+            const auto lweKey = lwe::LweSecretKey::sampleTernary(lweDim, rng);
+            const auto brk =
+                makeBlindRotateKey(sk, lweKey.coeffs, shape.gadget, rng);
+
+            // The pair against two external products, from both
+            // domains (the blind-rotate accumulator is in Coeff).
+            std::vector<int64_t> m(shape.n);
+            for (auto& v : m) {
+                v = static_cast<int64_t>(rng.uniform(1 << 20)) - (1 << 19);
+            }
+            auto ct = rlwe::encrypt(
+                sk, math::rnsFromSigned(basis, shape.limbs, m), rng);
+            for (int pass = 0; pass < 2; ++pass) {
+                const auto [got0, got1] = rlwe::externalProductPair(
+                    ct, brk.plus[0], brk.minus[0]);
+                EXPECT_EQ(ciphertextWords(got0),
+                          ciphertextWords(
+                              rlwe::externalProduct(ct, brk.plus[0])));
+                EXPECT_EQ(ciphertextWords(got1),
+                          ciphertextWords(
+                              rlwe::externalProduct(ct, brk.minus[0])));
+                ct.toCoeff();
+            }
+
+            // Whole rotations, per ciphertext and key-major.
+            const auto f = buildIdentityTestPoly(basis, shape.limbs, 1000);
+            std::vector<lwe::LweCiphertext> lwes(2);
+            for (auto& lwe : lwes) {
+                lwe.modulus = 2 * shape.n;
+                lwe.b = rng.uniform(lwe.modulus);
+                lwe.a.resize(lweDim);
+                for (auto& a : lwe.a) {
+                    a = rng.uniform(lwe.modulus);
+                }
+            }
+            lwes[1].a[1] = 0; // a skipped step
+            const auto batch = blindRotateBatch(lwes, f, brk);
+            ASSERT_EQ(batch.size(), lwes.size());
+            for (size_t c = 0; c < lwes.size(); ++c) {
+                const auto want = ciphertextWords(
+                    oracleBlindRotate(lwes[c], f, brk));
+                EXPECT_EQ(ciphertextWords(blindRotate(lwes[c], f, brk)),
+                          want)
+                    << "ct " << c;
+                EXPECT_EQ(ciphertextWords(batch[c]), want) << "ct " << c;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -225,11 +225,43 @@ PirServer::validateQuery(const PirQuery& query) const
                "PIR query has " << query.dimBits.size()
                                 << " dimensions, parameters say "
                                 << params_.dims.size());
+    const math::RnsBasis* basis = params_.basis.get();
+    const rlwe::GadgetParams& g = params_.gadget;
+    const size_t rows = basis->size() * static_cast<size_t>(g.digitsPerLimb);
+    const auto validPoly = [&](const math::RnsPoly& x) {
+        return &x.basis() == basis && x.limbCount() == basis->size()
+               && x.domain() == math::Domain::Eval;
+    };
     for (size_t k = 0; k < params_.dims.size(); ++k) {
         HEAP_CHECK(query.dimBits[k].size() == params_.dimBitCount(k),
                    "PIR query dimension "
                        << k << " carries " << query.dimBits[k].size()
                        << " bits, expected " << params_.dimBitCount(k));
+        for (size_t j = 0; j < query.dimBits[k].size(); ++j) {
+            const rlwe::RgswCiphertext& bit = query.dimBits[k][j];
+            for (const rlwe::GadgetCiphertext* half : {&bit.forB, &bit.forA}) {
+                const rlwe::GadgetParams& hp = half->params();
+                HEAP_CHECK(hp.baseBits == g.baseBits
+                               && hp.digitsPerLimb == g.digitsPerLimb
+                               && hp.balanced == g.balanced,
+                           "PIR query bit (" << k << ", " << j
+                                             << ") uses a foreign gadget");
+                HEAP_CHECK(half->rowCount() == rows,
+                           "PIR query bit (" << k << ", " << j << ") has "
+                                             << half->rowCount()
+                                             << " gadget rows, expected "
+                                             << rows);
+                for (size_t r = 0; r < rows; ++r) {
+                    const rlwe::Ciphertext& row = half->row(
+                        r / g.digitsPerLimb, r % g.digitsPerLimb);
+                    HEAP_CHECK(validPoly(row.a) && validPoly(row.b),
+                               "PIR query bit ("
+                                   << k << ", " << j << ") row " << r
+                                   << " is not a full-basis Eval "
+                                   << "polynomial of the protocol ring");
+                }
+            }
+        }
     }
 }
 

@@ -172,7 +172,11 @@ class PirServer {
                std::vector<rlwe::Ciphertext> firstPass) const;
 
     /** Shape-checks a query against the parameters (throws
-     *  UserError): dimension count, per-dimension bit counts. */
+     *  UserError): dimension count, per-dimension bit counts, and
+     *  every RGSW half's gadget, row count (basis limbs x digits per
+     *  limb), and rows (the protocol's basis, all limbs, Eval) — the
+     *  shape PirClient::makeQuery produces. A query that passes
+     *  cannot fail a fold on its shape. */
     void validateQuery(const PirQuery& query) const;
 
     const PirParams& params() const { return params_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "serve/pir_service.h"
-#include "serve/service.h"
 
 namespace heap::serve {
 
@@ -65,56 +63,41 @@ ChaosEngine::ChaosEngine(ChaosSpec spec)
 }
 
 void
-ChaosEngine::advance(
-    uint64_t submitIdx,
-    const std::vector<std::unique_ptr<BootstrapService>>& pods,
-    const std::vector<std::unique_ptr<PirService>>& pirPods)
+ChaosEngine::advance(uint64_t submitIdx, std::span<const PodTable> tables)
 {
     std::lock_guard<std::mutex> lock(m_);
     while (cursor_ < events_.size()
            && events_[cursor_].atSubmit <= submitIdx) {
         const ChaosEvent& e = events_[cursor_++];
-        HEAP_CHECK(e.pod < pods.size(),
-                   "chaos event targets pod " << e.pod << " of "
-                                              << pods.size());
-        BootstrapService& svc = *pods[e.pod];
-        PirService* pir = e.pod < pirPods.size()
-                              ? pirPods[e.pod].get()
-                              : nullptr;
+        const size_t pods = tables.empty() ? 0 : tables[0].size();
+        HEAP_CHECK(e.pod < pods,
+                   "chaos event targets pod " << e.pod << " of " << pods);
+        const auto each = [&](auto&& apply) {
+            for (const PodTable& table : tables) {
+                if (e.pod < table.size()) {
+                    apply(*table[e.pod]);
+                }
+            }
+        };
         switch (e.kind) {
         case ChaosEvent::Kind::FailRequests:
-            svc.injectFailures(e.count);
-            if (pir != nullptr) {
-                pir->injectFailures(e.count);
-            }
+            each([&](Pod& p) { p.injectFailures(e.count); });
             st_.injectedFailures += e.count;
             break;
         case ChaosEvent::Kind::Wedge:
-            svc.pause();
-            if (pir != nullptr) {
-                pir->pause();
-            }
+            each([](Pod& p) { p.pause(); });
             ++st_.wedges;
             break;
         case ChaosEvent::Kind::Unwedge:
-            svc.resume();
-            if (pir != nullptr) {
-                pir->resume();
-            }
+            each([](Pod& p) { p.resume(); });
             ++st_.unwedges;
             break;
         case ChaosEvent::Kind::Crash:
-            svc.crash();
-            if (pir != nullptr) {
-                pir->crash();
-            }
+            each([](Pod& p) { p.crash(); });
             ++st_.crashes;
             break;
         case ChaosEvent::Kind::Recover:
-            svc.recover();
-            if (pir != nullptr) {
-                pir->recover();
-            }
+            each([](Pod& p) { p.recover(); });
             ++st_.recoveries;
             break;
         }

@@ -32,12 +32,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
-namespace heap::serve {
+#include "serve/pod.h"
 
-class BootstrapService;
-class PirService;
+namespace heap::serve {
 
 /** One scheduled pod-level fault. */
 struct ChaosEvent {
@@ -93,22 +93,15 @@ class ChaosEngine {
 
     /**
      * Applies every not-yet-applied event with atSubmit <= submitIdx
-     * to `pods` (validating pod indices). Called by the cluster just
-     * before dispatching its submitIdx-th submission.
+     * (validating pod indices against the first table). Called by the
+     * cluster just before dispatching its submitIdx-th submission.
      *
-     * Faults are POD-level: when the pod also serves the encrypted
-     * lookup tenant class (`pirPods[e.pod]` non-null), the same
-     * event applies to its colocated PirService — a crash takes both
-     * services down, a wedge pauses both, a FailRequests burst fails
-     * the next `count` requests of each. `pirPods` may be empty
-     * (bootstrap-only clusters) or hold nulls for pods without a PIR
-     * tenant.
+     * Faults are POD-level: an event applies to the pod at its index
+     * in every table (one table per tenant class) — a crash takes
+     * every class of the pod down, a wedge pauses them all, and a
+     * FailRequests burst fails the next `count` requests of each.
      */
-    void advance(uint64_t submitIdx,
-                 const std::vector<std::unique_ptr<BootstrapService>>&
-                     pods,
-                 const std::vector<std::unique_ptr<PirService>>&
-                     pirPods = {});
+    void advance(uint64_t submitIdx, std::span<const PodTable> tables);
 
     /** True once every event has been applied. */
     bool done() const;

@@ -30,22 +30,21 @@ constexpr double kBacklogEpsMs = 1e-9;
 ServiceCluster::ServiceCluster(
     std::vector<boot::DistributedBootstrapper*> pods,
     TenantRegistry& registry, ClusterConfig cfg)
-    : pods_(std::move(pods)),
-      registry_(&registry),
+    : registry_(&registry),
       cfg_(cfg),
       epoch_(std::chrono::steady_clock::now())
 {
-    HEAP_CHECK(!pods_.empty(), "cluster with no pods");
-    for (const auto* p : pods_) {
+    HEAP_CHECK(!pods.empty(), "cluster with no pods");
+    for (const auto* p : pods) {
         HEAP_CHECK(p != nullptr, "null pod bootstrapper");
     }
     HEAP_CHECK(cfg_.failover.maxAttempts >= 1,
                "failover needs at least one attempt");
     HEAP_CHECK(cfg_.failover.backoffMs >= 0,
                "negative failover backoff");
-    itemsPerRequest_ = pods_[0]->context().basis()->n();
-    for (const auto* p : pods_) {
-        HEAP_CHECK(p->context().basis()->n() == itemsPerRequest_,
+    const size_t n = pods[0]->context().basis()->n();
+    for (const auto* p : pods) {
+        HEAP_CHECK(p->context().basis()->n() == n,
                    "pods disagree on the ring dimension");
     }
     if (cfg_.pod.costModel == nullptr) {
@@ -59,14 +58,15 @@ ServiceCluster::ServiceCluster(
     // Modeled cost of one request's rotate work: the spill policy's
     // load unit. Any positive constant works without a model — load
     // is then proportional to outstanding requests.
-    requestCostMs_ =
+    classes_[kBootstrap].items = n;
+    classes_[kBootstrap].costMs =
         cfg_.costModel != nullptr
-            ? cfg_.costModel->blindRotateBatchMs(itemsPerRequest_)
-                  + cfg_.costModel->batchCommMs(itemsPerRequest_)
-            : static_cast<double>(itemsPerRequest_) * 0.01;
+            ? cfg_.costModel->blindRotateBatchMs(n)
+                  + cfg_.costModel->batchCommMs(n)
+            : static_cast<double>(n) * 0.01;
     if (cfg_.pirServer != nullptr) {
         const pir::PirParams& pp = cfg_.pirServer->params();
-        pirItemsPerRequest_ = pp.firstDimGroups();
+        classes_[kLookup].items = pp.firstDimGroups();
         if (cfg_.pirModel != nullptr) {
             hw::PirShape shape;
             shape.ringN = pp.basis->n();
@@ -74,33 +74,27 @@ ServiceCluster::ServiceCluster(
             shape.digitsPerLimb = pp.gadget.digitsPerLimb;
             shape.dims = pp.dims;
             const hw::PirBreakdown b = cfg_.pirModel->answer(shape);
-            pirRequestCostMs_ = b.foldMs + b.responseCommMs;
+            classes_[kLookup].costMs = b.foldMs + b.responseCommMs;
         } else {
             // Any positive constant works: lookup load is then
             // proportional to outstanding first-dim groups.
-            pirRequestCostMs_ =
-                static_cast<double>(pirItemsPerRequest_) * 0.01;
+            classes_[kLookup].costMs =
+                static_cast<double>(pp.firstDimGroups()) * 0.01;
         }
     }
-    services_.reserve(pods_.size());
-    caches_.reserve(pods_.size());
-    breakers_.reserve(pods_.size());
-    if (cfg_.pirServer != nullptr) {
-        pirServices_.reserve(pods_.size());
-    }
-    for (auto* p : pods_) {
-        services_.push_back(
+    for (auto* p : pods) {
+        tables_[kBootstrap].push_back(
             std::make_unique<BootstrapService>(*p, cfg_.pod));
         if (cfg_.pirServer != nullptr) {
-            pirServices_.push_back(std::make_unique<PirService>(
+            tables_[kLookup].push_back(std::make_unique<PirService>(
                 *cfg_.pirServer, cfg_.pirPod));
         }
         caches_.push_back(std::make_unique<BootstrappingKeyCache>(
             cfg_.keyCacheBytes));
         breakers_.emplace_back(cfg_.breaker);
     }
-    podLoadMs_.assign(pods_.size(), 0.0);
-    retryGateMs_.assign(pods_.size(), 0.0);
+    podLoadMs_.assign(pods.size(), 0.0);
+    retryGateMs_.assign(pods.size(), 0.0);
     if (cfg_.chaos) {
         chaos_ = std::make_unique<ChaosEngine>(*cfg_.chaos);
     }
@@ -123,7 +117,7 @@ ServiceCluster::nowMs() const
 size_t
 ServiceCluster::preferredPod(uint64_t tenantId) const
 {
-    return static_cast<size_t>(mix64(tenantId) % services_.size());
+    return static_cast<size_t>(mix64(tenantId) % podCount());
 }
 
 BreakerStats
@@ -138,15 +132,15 @@ ServiceCluster::routeCandidates(uint64_t tenantId, bool gateHealth)
 {
     const size_t preferred = preferredPod(tenantId);
     std::vector<Candidate> cands;
-    cands.reserve(services_.size());
+    cands.reserve(podCount());
     {
         std::lock_guard<std::mutex> lock(m_);
         if (gateHealth) {
-            for (size_t i = 0; i < services_.size(); ++i) {
+            for (size_t i = 0; i < podCount(); ++i) {
                 breakers_[i].noteDecision(podLoadMs_[i]
                                           > kBacklogEpsMs);
             }
-            for (size_t i = 0; i < services_.size(); ++i) {
+            for (size_t i = 0; i < podCount(); ++i) {
                 const CircuitBreaker::Gate g = breakers_[i].gate();
                 if (g.admit) {
                     cands.push_back(
@@ -161,7 +155,7 @@ ServiceCluster::routeCandidates(uint64_t tenantId, bool gateHealth)
             // staleness counters. Retries consider every pod (the
             // dispatch loop skips crashed/full ones) so an all-open
             // moment cannot strand a flight.
-            for (size_t i = 0; i < services_.size(); ++i) {
+            for (size_t i = 0; i < podCount(); ++i) {
                 cands.push_back(
                     Candidate{i, false, podLoadMs_[i]});
             }
@@ -205,21 +199,12 @@ ServiceCluster::tryDispatch(const std::shared_ptr<Flight>& flight,
             });
     }
     const size_t preferred = preferredPod(flight->tenantId);
-    const bool isPir = flight->kind == FlightKind::Pir;
-    const double costMs = flight->costMs;
+    const double costMs = classes_[flight->cls].costMs;
     for (size_t c = 0; c < cands.size(); ++c) {
         const size_t podIdx = cands[c].pod;
         const bool probe = cands[c].probe;
-        BootstrapService& svc = *services_[podIdx];
-        PirService* pirSvc =
-            isPir ? pirServices_[podIdx].get() : nullptr;
-        const bool podCrashed =
-            isPir ? pirSvc->crashed() : svc.crashed();
-        const bool podFull =
-            isPir ? pirSvc->liveRequests()
-                        >= cfg_.pirPod.maxQueuedRequests
-                  : svc.liveRequests() >= cfg_.pod.maxQueuedRequests;
-        if (podCrashed) {
+        Pod& pod = *tables_[flight->cls][podIdx];
+        if (pod.crashed()) {
             if (!isRetry) {
                 // Observing a crash at a routing decision IS a health
                 // outcome: it opens the breaker without waiting for
@@ -232,7 +217,7 @@ ServiceCluster::tryDispatch(const std::shared_ptr<Flight>& flight,
             }
             continue;
         }
-        if (podFull) {
+        if (pod.full()) {
             // Full is not unhealthy: release the probe (if any) so
             // the next routing decision re-probes, and move on.
             if (probe) {
@@ -241,48 +226,37 @@ ServiceCluster::tryDispatch(const std::shared_ptr<Flight>& flight,
             }
             continue;
         }
-        // The attempt's pod ticket is created HERE so the completion
-        // hook can capture it: the pod fulfils it before invoking the
-        // hook, which is what lets onAttemptDone() extract the result
-        // of a settled attempt without racing the pod's workers.
-        std::shared_ptr<BootstrapTicket> attempt;
-        std::shared_ptr<PirTicket> pirAttempt;
-        SubmitOptions opts = flight->baseOpts;
+        std::unique_ptr<PodRequest> req = flight->newRequest();
+        req->opts = flight->baseOpts;
         if (std::isfinite(flight->deadlineAbsMs)) {
             // Re-base the deadline on the remaining cluster budget so
             // a failed-over attempt keeps an honest EDF position.
-            opts.deadlineMs =
+            req->opts.deadlineMs =
                 std::max(0.0, flight->deadlineAbsMs - nowMs());
         }
-        if (isPir) {
-            pirAttempt = std::make_shared<PirTicket>();
-        } else {
-            attempt = std::make_shared<BootstrapTicket>();
-        }
-        opts.onDone = [this, flight, attempt, pirAttempt, podIdx,
-                       probe](const RequestReport& rep, bool ok) {
-            onAttemptDone(flight, attempt, pirAttempt, podIdx, probe,
-                          rep, ok);
+        req->relay = [this, flight, podIdx,
+                      probe](RequestReport& rep,
+                             const std::exception_ptr& err) {
+            return onAttemptDone(flight, podIdx, probe, rep, err);
+        };
+        req->opts.onDone = [this, flight](const RequestReport& rep,
+                                          bool ok) {
+            flightDone(flight, rep, ok);
         };
         {
             // Charge the modeled load and count the attempt before
-            // the pod can complete it: the hook's refund then always
+            // the pod can complete it: the relay's refund then always
             // balances, and its attempts read is never stale.
             std::lock_guard<std::mutex> lock(m_);
             podLoadMs_[podIdx] += costMs;
             ++flight->attempts;
         }
         try {
-            if (isPir) {
-                pirSvc->submit(flight->query, std::move(opts),
-                               pirAttempt);
-            } else {
-                svc.submit(flight->input, std::move(opts), attempt);
-            }
+            pod.submitRequest(std::move(req));
         } catch (const UserError&) {
             // Lost the admission race (the pod filled or crashed
             // between the probe above and submit): refund and try the
-            // next candidate. No hook was installed, so this is the
+            // next candidate. The request never ran, so this is the
             // only accounting path for the attempt.
             std::lock_guard<std::mutex> lock(m_);
             podLoadMs_[podIdx] -= costMs;
@@ -319,29 +293,21 @@ ServiceCluster::tryDispatch(const std::shared_ptr<Flight>& flight,
     return Dispatch::NoRoom;
 }
 
-void
-ServiceCluster::onAttemptDone(
-    const std::shared_ptr<Flight>& flight,
-    const std::shared_ptr<BootstrapTicket>& attempt,
-    const std::shared_ptr<PirTicket>& pirAttempt, size_t podIdx,
-    bool probe, const RequestReport& rep, bool ok)
+bool
+ServiceCluster::onAttemptDone(const std::shared_ptr<Flight>& flight,
+                              size_t podIdx, bool probe,
+                              RequestReport& rep,
+                              const std::exception_ptr& err)
 {
-    // May run under the pod's lock (failure path): cluster lock,
-    // registry, and ticket locks only — never back into a pod.
+    // May run under the pod's lock: cluster lock, registry, and
+    // ticket locks only — never back into a pod.
     uint32_t attempts = 0;
     {
         std::lock_guard<std::mutex> lock(m_);
-        podLoadMs_[podIdx] -= flight->costMs;
-        breakers_[podIdx].onOutcome(ok, probe);
+        podLoadMs_[podIdx] -= classes_[flight->cls].costMs;
+        breakers_[podIdx].onOutcome(err == nullptr, probe);
         attempts = flight->attempts;
     }
-    if (ok) {
-        settleSuccess(flight, attempt, pirAttempt, podIdx, rep);
-        return;
-    }
-    std::exception_ptr err = pirAttempt != nullptr
-                                 ? pirAttempt->error()
-                                 : attempt->error();
     bool retryable = false;
     if (err) {
         try {
@@ -352,15 +318,11 @@ ServiceCluster::onAttemptDone(
             // UserError / InternalError / anything else would fail
             // identically on every replica: terminal.
         }
-    } else {
-        err = std::make_exception_ptr(
-            PodError("pod attempt failed without a recorded error"));
-        retryable = true;
     }
     bool deadlineOk = true;
     if (cfg_.failover.respectDeadline
         && std::isfinite(flight->deadlineAbsMs)) {
-        deadlineOk = nowMs() + flight->costMs
+        deadlineOk = nowMs() + classes_[flight->cls].costMs
                      <= flight->deadlineAbsMs;
     }
     if (retryable && attempts < cfg_.failover.maxAttempts
@@ -371,7 +333,7 @@ ServiceCluster::onAttemptDone(
             ++failovers_;
         }
         {
-            // Never re-dispatch from here — this hook may hold the
+            // Never re-dispatch from here — this relay may hold the
             // failing pod's lock, and submitting to another pod nests
             // pod locks (deadlock). The failover thread re-dispatches.
             // A retry's own gate would open microseconds after the
@@ -387,89 +349,67 @@ ServiceCluster::onAttemptDone(
             retryQ_.push_back(Retry{flight, err, gate});
         }
         retryCv_.notify_all();
-        return;
+        return false;
     }
-    settleFailure(flight, err, static_cast<int>(podIdx), rep,
-                  /*exhausted=*/retryable);
+    settleFlight(flight, rep, static_cast<int>(podIdx), err == nullptr,
+                 /*exhausted=*/retryable);
+    return true;
 }
 
 void
-ServiceCluster::settleSuccess(
-    const std::shared_ptr<Flight>& flight,
-    const std::shared_ptr<BootstrapTicket>& attempt,
-    const std::shared_ptr<PirTicket>& pirAttempt, size_t podIdx,
-    const RequestReport& rep)
+ServiceCluster::settleFlight(const std::shared_ptr<Flight>& flight,
+                             RequestReport& rep, int podIdx, bool ok,
+                             bool exhausted)
 {
-    RequestReport r = rep;
-    r.servedPod = static_cast<int>(podIdx);
-    r.totalMs = nowMs() - flight->submitMs;
+    const double now = nowMs();
+    rep.servedPod = podIdx;
+    rep.totalMs = now - flight->submitMs;
     if (std::isfinite(flight->deadlineAbsMs)) {
-        r.deadlineMissed = nowMs() > flight->deadlineAbsMs;
+        rep.deadlineMissed = now > flight->deadlineAbsMs;
     }
     {
         std::lock_guard<std::mutex> lock(m_);
-        r.attempts = flight->attempts;
-        ++requestsCompleted_;
-        if (flight->kind == FlightKind::Pir) {
-            ++pirCompleted_;
-        }
-        if (flight->attempts > 1) {
+        rep.attempts = flight->attempts;
+        ClassInfo& k = classes_[flight->cls];
+        ++(ok ? k.completed : k.failed);
+        if (ok && flight->attempts > 1) {
             ++failoverSucceeded_;
-        }
-        HEAP_ASSERT(liveFlights_ >= 1, "settle without a live flight");
-        --liveFlights_;
-    }
-    // Exactly one registry completion per logical request, at the
-    // terminal outcome — attempts in between were invisible to the
-    // tenant accounting (admit/refund conservation).
-    registry_->onComplete(flight->tenantId, flight->items, true);
-    // The pod fulfilled the attempt ticket before invoking the hook,
-    // so these wait()s return immediately with the result.
-    if (flight->kind == FlightKind::Pir) {
-        flight->pirClientTicket->fulfil(pirAttempt->wait(), r);
-    } else {
-        flight->clientTicket->fulfil(attempt->wait(), r);
-    }
-    if (flight->userDone) {
-        flight->userDone(r, true);
-    }
-    settleCv_.notify_all();
-}
-
-void
-ServiceCluster::settleFailure(const std::shared_ptr<Flight>& flight,
-                              std::exception_ptr err, int podIdx,
-                              const RequestReport& rep, bool exhausted)
-{
-    RequestReport r = rep;
-    r.servedPod = podIdx;
-    r.totalMs = nowMs() - flight->submitMs;
-    if (std::isfinite(flight->deadlineAbsMs)) {
-        r.deadlineMissed = nowMs() > flight->deadlineAbsMs;
-    }
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        r.attempts = flight->attempts;
-        ++requestsFailed_;
-        if (flight->kind == FlightKind::Pir) {
-            ++pirFailed_;
         }
         if (exhausted) {
             ++failoverExhausted_;
         }
+    }
+    // Exactly one registry completion per logical request, at the
+    // terminal outcome — attempts in between were invisible to the
+    // tenant accounting (admit/refund conservation).
+    registry_->onComplete(flight->tenantId, classes_[flight->cls].items,
+                          ok);
+}
+
+void
+ServiceCluster::flightDone(const std::shared_ptr<Flight>& flight,
+                           const RequestReport& rep, bool ok)
+{
+    if (flight->userDone) {
+        flight->userDone(rep, ok);
+    }
+    {
+        std::lock_guard<std::mutex> lock(m_);
         HEAP_ASSERT(liveFlights_ >= 1, "settle without a live flight");
         --liveFlights_;
     }
-    registry_->onComplete(flight->tenantId, flight->items, false);
-    if (flight->kind == FlightKind::Pir) {
-        flight->pirClientTicket->fail(std::move(err), r);
-    } else {
-        flight->clientTicket->fail(std::move(err), r);
-    }
-    if (flight->userDone) {
-        flight->userDone(r, false);
-    }
     settleCv_.notify_all();
+}
+
+void
+ServiceCluster::failUnplaced(const std::shared_ptr<Flight>& flight,
+                             std::exception_ptr err)
+{
+    RequestReport rep;
+    rep.id = flight->seq;
+    settleFlight(flight, rep, -1, /*ok=*/false, /*exhausted=*/true);
+    flight->newRequest()->settle(std::move(err), rep);
+    flightDone(flight, rep, false);
 }
 
 void
@@ -538,10 +478,7 @@ ServiceCluster::failoverLoop()
         for (Retry& r : sweep) {
             if (stopping) {
                 // Pods are shut down: nothing can carry the retry.
-                RequestReport rep;
-                rep.id = r.flight->seq;
-                settleFailure(r.flight, r.lastError, -1, rep,
-                              /*exhausted=*/true);
+                failUnplaced(r.flight, r.lastError);
                 continue;
             }
             if (tryDispatch(r.flight, /*isRetry=*/true)
@@ -549,14 +486,11 @@ ServiceCluster::failoverLoop()
                 bool abandon = false;
                 if (cfg_.failover.respectDeadline
                     && std::isfinite(r.flight->deadlineAbsMs)) {
-                    abandon = nowMs() + r.flight->costMs
+                    abandon = nowMs() + classes_[r.flight->cls].costMs
                               > r.flight->deadlineAbsMs;
                 }
                 if (abandon) {
-                    RequestReport rep;
-                    rep.id = r.flight->seq;
-                    settleFailure(r.flight, r.lastError, -1, rep,
-                                  /*exhausted=*/true);
+                    failUnplaced(r.flight, r.lastError);
                 } else {
                     // No pod can take it right now (full, crashed,
                     // or breaker-open). Room opens as pods drain or
@@ -577,11 +511,16 @@ ServiceCluster::failoverLoop()
 }
 
 void
-ServiceCluster::submitFlight(const std::shared_ptr<Flight>& flight,
-                             SubmitOptions opts)
+ServiceCluster::submitFlight(
+    uint64_t tenantId, size_t cls,
+    std::function<std::unique_ptr<PodRequest>()> newRequest,
+    SubmitOptions opts)
 {
-    const uint64_t tenantId = flight->tenantId;
     HEAP_CHECK(tenantId != 0, "tenant id 0 is reserved");
+    auto flight = std::make_shared<Flight>();
+    flight->tenantId = tenantId;
+    flight->cls = cls;
+    flight->newRequest = std::move(newRequest);
     const TenantSpec& spec = registry_->spec(tenantId);
     // Key-cache charge: the tenant's declared footprint, else the
     // cluster default (cost model's key-read bytes when available).
@@ -606,7 +545,7 @@ ServiceCluster::submitFlight(const std::shared_ptr<Flight>& flight,
         seq = ++submitSeq_;
     }
     if (chaos_) {
-        chaos_->advance(seq, services_, pirServices_);
+        chaos_->advance(seq, tables_);
     }
     flight->seq = seq;
 
@@ -642,7 +581,7 @@ ServiceCluster::submitFlight(const std::shared_ptr<Flight>& flight,
         if (opts.deadlineMs) {
             const double modeledMs =
                 cfg_.shedding.slackFactor
-                * (minLoadMs + flight->costMs);
+                * (minLoadMs + classes_[flight->cls].costMs);
             if (*opts.deadlineMs < modeledMs) {
                 {
                     std::lock_guard<std::mutex> lock(m_);
@@ -659,7 +598,8 @@ ServiceCluster::submitFlight(const std::shared_ptr<Flight>& flight,
         }
     }
 
-    const auto adm = registry_->tryAdmit(tenantId, flight->items);
+    const size_t items = classes_[flight->cls].items;
+    const auto adm = registry_->tryAdmit(tenantId, items);
     if (!adm) {
         {
             std::lock_guard<std::mutex> lock(m_);
@@ -690,7 +630,7 @@ ServiceCluster::submitFlight(const std::shared_ptr<Flight>& flight,
     if (d != Dispatch::Placed) {
         // Total rejection of the initial dispatch: the ONLY place the
         // admission is cancelled rather than completed.
-        registry_->cancelAdmit(tenantId, flight->items);
+        registry_->cancelAdmit(tenantId, items);
         {
             std::lock_guard<std::mutex> lock(m_);
             --liveFlights_;
@@ -710,10 +650,7 @@ ServiceCluster::submitFlight(const std::shared_ptr<Flight>& flight,
     }
     {
         std::lock_guard<std::mutex> lock(m_);
-        ++submitted_;
-        if (flight->kind == FlightKind::Pir) {
-            ++pirSubmitted_;
-        }
+        ++classes_[flight->cls].submitted;
     }
 }
 
@@ -721,15 +658,15 @@ std::shared_ptr<BootstrapTicket>
 ServiceCluster::submit(uint64_t tenantId, const ckks::Ciphertext& in,
                        SubmitOptions opts)
 {
-    auto flight = std::make_shared<Flight>();
-    flight->tenantId = tenantId;
-    flight->kind = FlightKind::Bootstrap;
-    flight->input = in;
-    flight->clientTicket = std::make_shared<BootstrapTicket>();
-    flight->costMs = requestCostMs_;
-    flight->items = itemsPerRequest_;
-    submitFlight(flight, std::move(opts));
-    return flight->clientTicket;
+    // Shape-check at the cluster door: a malformed input is a
+    // UserError here, never a pod failure or a capacity rejection.
+    pod(0).validate(in);
+    auto ticket = std::make_shared<BootstrapTicket>();
+    submitFlight(
+        tenantId, kBootstrap,
+        [in, ticket] { return BootstrapService::request(in, ticket); },
+        std::move(opts));
+    return ticket;
 }
 
 std::shared_ptr<PirTicket>
@@ -737,22 +674,16 @@ ServiceCluster::submitPir(uint64_t tenantId,
                           std::shared_ptr<const pir::PirQuery> query,
                           SubmitOptions opts)
 {
-    HEAP_CHECK(cfg_.pirServer != nullptr,
-               "cluster has no encrypted-lookup tenant class "
-               "(ClusterConfig::pirServer is null)");
+    HEAP_CHECK(hasPir(), "cluster has no encrypted-lookup tenant class "
+                         "(ClusterConfig::pirServer is null)");
     HEAP_CHECK(query != nullptr, "null PIR query");
-    // Shape-check at the cluster door: a malformed query is a
-    // UserError here, never a retryable pod fault.
     cfg_.pirServer->validateQuery(*query);
-    auto flight = std::make_shared<Flight>();
-    flight->tenantId = tenantId;
-    flight->kind = FlightKind::Pir;
-    flight->query = std::move(query);
-    flight->pirClientTicket = std::make_shared<PirTicket>();
-    flight->costMs = pirRequestCostMs_;
-    flight->items = pirItemsPerRequest_;
-    submitFlight(flight, std::move(opts));
-    return flight->pirClientTicket;
+    auto ticket = std::make_shared<PirTicket>();
+    submitFlight(
+        tenantId, kLookup,
+        [query, ticket] { return PirService::request(query, ticket); },
+        std::move(opts));
+    return ticket;
 }
 
 void
@@ -766,14 +697,13 @@ void
 ServiceCluster::shutdown()
 {
     // Pods first: every accepted attempt settles during the pod
-    // shutdowns, so every completion hook fires and every failover
+    // shutdowns, so every relay runs and every failover
     // decision is enqueued BEFORE the failover thread is told to
     // stop — no retry can arrive after the thread exits.
-    for (auto& svc : services_) {
-        svc->shutdown();
-    }
-    for (auto& svc : pirServices_) {
-        svc->shutdown();
+    for (PodTable& table : tables_) {
+        for (auto& pod : table) {
+            pod->shutdown();
+        }
     }
     {
         std::lock_guard<std::mutex> lock(retryM_);
@@ -791,7 +721,6 @@ ServiceCluster::metrics() const
     ClusterMetrics m;
     {
         std::lock_guard<std::mutex> lock(m_);
-        m.submitted = submitted_;
         m.rejectedQuota = rejectedQuota_;
         m.rejectedCapacity = rejectedCapacity_;
         m.rejectedUnhealthy = rejectedUnhealthy_;
@@ -799,17 +728,20 @@ ServiceCluster::metrics() const
         m.rejectedShedBrownout = rejectedShedBrownout_;
         m.routedPreferred = routedPreferred_;
         m.spilled = spilled_;
-        m.requestsCompleted = requestsCompleted_;
-        m.requestsFailed = requestsFailed_;
         m.liveFlights = liveFlights_;
         m.failovers = failovers_;
         m.failoverSucceeded = failoverSucceeded_;
         m.failoverExhausted = failoverExhausted_;
         m.failoverSweeps = failoverSweeps_;
         m.maxRetryBatch = maxRetryBatch_;
-        m.pirSubmitted = pirSubmitted_;
-        m.pirCompleted = pirCompleted_;
-        m.pirFailed = pirFailed_;
+        for (const ClassInfo& k : classes_) {
+            m.submitted += k.submitted;
+            m.requestsCompleted += k.completed;
+            m.requestsFailed += k.failed;
+        }
+        m.pirSubmitted = classes_[kLookup].submitted;
+        m.pirCompleted = classes_[kLookup].completed;
+        m.pirFailed = classes_[kLookup].failed;
         m.podModeledLoadMs = podLoadMs_;
         m.breakers.reserve(breakers_.size());
         for (const CircuitBreaker& b : breakers_) {
@@ -821,17 +753,14 @@ ServiceCluster::metrics() const
     if (chaos_) {
         m.chaos = chaos_->stats();
     }
-    m.pods.reserve(services_.size());
-    for (const auto& svc : services_) {
-        m.pods.push_back(svc->metrics());
-        m.completed += m.pods.back().completed;
-        m.failed += m.pods.back().failed;
-    }
-    m.pirPods.reserve(pirServices_.size());
-    for (const auto& svc : pirServices_) {
-        m.pirPods.push_back(svc->metrics());
-        m.completed += m.pirPods.back().completed;
-        m.failed += m.pirPods.back().failed;
+    std::vector<ServiceMetrics>* podMetrics[kClasses] = {&m.pods,
+                                                         &m.pirPods};
+    for (size_t k = 0; k < kClasses; ++k) {
+        for (const auto& pod : tables_[k]) {
+            podMetrics[k]->push_back(pod->metrics());
+            m.completed += podMetrics[k]->back().completed;
+            m.failed += podMetrics[k]->back().failed;
+        }
     }
     m.podKeyCaches.reserve(caches_.size());
     for (const auto& c : caches_) {

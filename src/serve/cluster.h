@@ -1,12 +1,15 @@
 /**
  * @file
- * ServiceCluster — sharded multi-tenant serving across multiple
- * BootstrapService pods (the ROADMAP's "millions of users"
- * milestone), with a cluster-level failure domain: per-pod circuit
- * breakers, request failover, and deadline-aware load shedding.
+ * ServiceCluster — sharded multi-tenant serving across multiple pods
+ * (the ROADMAP's "millions of users" milestone), with a cluster-level
+ * failure domain: per-pod circuit breakers, request failover, and
+ * deadline-aware load shedding.
  *
  * Each pod is one BootstrapService over its own
- * DistributedBootstrapper (the paper's 8-FPGA group). The cluster
+ * DistributedBootstrapper (the paper's 8-FPGA group), optionally with
+ * a colocated PirService. The cluster keeps one pod table per tenant
+ * class and routes flights without knowing their class: submit() and
+ * submitPir() only bind a flight to its class and payload. The cluster
  * routes a tenant's requests to a stable preferred pod (consistent
  * hash of the tenant id), which keeps that tenant's bootstrapping
  * keys hot in the pod's BootstrappingKeyCache; when the preferred
@@ -23,17 +26,18 @@
  * FIRST: the probe is one request by construction, and carrying it is
  * how an open breaker ever observes a recovery.
  *
- * Failover: the client's ticket belongs to the cluster, not to any
- * pod. Each dispatch attempt gets its own pod-level ticket; when an
- * attempt fails with a retryable PodError (injected fault, crash),
- * the cluster re-submits the SAME ciphertext to the next healthy
- * candidate — on a dedicated failover thread, never from the pod's
- * completion hook (the hook may run under the pod lock) — until the
+ * Failover: each dispatch attempt is a pod request carrying the
+ * client's ticket plus a relay (PodRequest::relay) that runs before
+ * the ticket settles. When an attempt fails with a retryable PodError
+ * (injected fault, crash), the relay keeps the ticket open and the
+ * cluster re-submits the SAME payload to the next healthy candidate —
+ * on a dedicated failover thread, never from the relay (it may run
+ * under the pod lock) — until the
  * FailoverPolicy's attempt or deadline budget runs out. Accounting is
  * exact: one TenantRegistry admission per logical request however
  * many attempts it takes, completion settled exactly once at the
  * terminal outcome, per-attempt modeled-load charges refunded by the
- * same hook that observed the attempt. A failed-over request touches
+ * same relay that observed the attempt. A failed-over request touches
  * the new pod's key cache (a real, counted cache-cold event — the
  * BTS/ARK key traffic the paper's §5 sizing is about).
  *
@@ -47,15 +51,16 @@
  * Chaos (opt-in): a deterministic ChaosSpec (serve/chaos.h) fires
  * pod-level faults — injected failures, wedges, crash/recover — as
  * the cluster's submission counter advances, which is what the
- * availability tests and bench/chaos_recovery drive. Faults are
- * pod-level: they hit both tenant classes of the targeted pod.
+ * availability tests and bench/chaos_recovery drive. Faults hit every
+ * tenant class's pod at the targeted index.
  *
  * Second tenant class (opt-in): with ClusterConfig::pirServer set,
- * every pod also carries a PirService over the shared encrypted-
- * lookup database, and submitPir() serves lookup flights through the
- * SAME routing, breakers, key caches (per-tenant query-key
- * footprints), shedding, fair queueing, and failover as bootstrap
- * flights — two tenant classes, one failure domain. Lookup answers
+ * every pod index also carries a PirService over the shared
+ * encrypted-lookup database, and submitPir() serves lookup flights
+ * through the SAME routing, breakers, key caches (per-tenant
+ * query-key footprints), shedding, fair queueing, and failover as
+ * bootstrap flights — two tenant classes, one failure domain. Lookup
+ * answers
  * are byte-identical across worker counts and failover recomputes
  * because the fold is pure arithmetic on the query.
  *
@@ -70,7 +75,7 @@
  * Thread-safe: submit() may be called from many client threads. The
  * cluster's own mutex guards its counters, modeled-load table, and
  * breakers, and is never held across a pod or registry call, so it
- * cannot deadlock against the service locks or completion hooks.
+ * cannot deadlock against the pod locks, relays or completion hooks.
  * Lock order: pod lock -> cluster lock -> registry/ticket locks,
  * never the reverse.
  */
@@ -78,6 +83,7 @@
 #ifndef HEAP_SERVE_CLUSTER_H
 #define HEAP_SERVE_CLUSTER_H
 
+#include <array>
 #include <condition_variable>
 #include <deque>
 #include <limits>
@@ -276,19 +282,27 @@ class ServiceCluster {
               std::shared_ptr<const pir::PirQuery> query,
               SubmitOptions opts = {});
 
-    size_t podCount() const { return services_.size(); }
+    size_t podCount() const { return tables_[kBootstrap].size(); }
 
     /** Whether the encrypted-lookup tenant class is configured. */
     bool hasPir() const { return cfg_.pirServer != nullptr; }
 
     /** Pod i's colocated PIR service (requires hasPir()). */
-    PirService& pirPod(size_t i) { return *pirServices_.at(i); }
+    PirService&
+    pirPod(size_t i)
+    {
+        return static_cast<PirService&>(*tables_[kLookup].at(i));
+    }
 
     /** Consistent routing target for a tenant (stable across runs:
      *  a fixed 64-bit mix of the id, mod the pod count). */
     size_t preferredPod(uint64_t tenantId) const;
 
-    BootstrapService& pod(size_t i) { return *services_.at(i); }
+    BootstrapService&
+    pod(size_t i)
+    {
+        return static_cast<BootstrapService&>(*tables_[kBootstrap].at(i));
+    }
     const BootstrappingKeyCache&
     keyCache(size_t i) const
     {
@@ -314,38 +328,38 @@ class ServiceCluster {
     ClusterMetrics metrics() const;
 
     /** Blind-rotate items per request (the ring dimension). */
-    size_t itemsPerRequest() const { return itemsPerRequest_; }
+    size_t itemsPerRequest() const { return classes_[kBootstrap].items; }
 
   private:
-    /** Which tenant class a flight belongs to. */
-    enum class FlightKind { Bootstrap, Pir };
+    /** Tenant classes: index into tables_ and classes_. */
+    static constexpr size_t kBootstrap = 0, kLookup = 1, kClasses = 2;
+
+    /** A tenant class's flight shape and flight accounting. */
+    struct ClassInfo {
+        double costMs = 0; ///< modeled per-attempt load
+        size_t items = 0;  ///< registry admission units per request
+        uint64_t submitted = 0, completed = 0, failed = 0; ///< (m_)
+    };
 
     /** One logical client request, alive across failover attempts. */
     struct Flight {
         uint64_t seq = 0; ///< cluster submission index (1-based)
         uint64_t tenantId = 0;
-        FlightKind kind = FlightKind::Bootstrap;
-        ckks::Ciphertext input; ///< bootstrap: retained for re-submission
-        /** PIR: the shared encrypted query (re-submitted as-is). */
-        std::shared_ptr<const pir::PirQuery> query;
+        size_t cls = kBootstrap; ///< tenant class
+        /** Builds one attempt's pod request: the shared payload plus
+         *  the client's ticket. Bound by submit()/submitPir(). */
+        std::function<std::unique_ptr<PodRequest>()> newRequest;
         /** Stamped options (priority/fairRank/tenantId), no hook. */
         SubmitOptions baseOpts;
-        std::shared_ptr<BootstrapTicket> clientTicket; ///< bootstrap
-        std::shared_ptr<PirTicket> pirClientTicket;    ///< pir
         std::function<void(const RequestReport&, bool)> userDone;
         size_t keyBytes = 0;
-        /** Modeled per-attempt cost (class-specific load unit). */
-        double costMs = 0;
-        /** Registry admission units: the ring dimension for
-         *  bootstrap flights, firstDimGroups() for PIR flights. */
-        size_t items = 0;
         /** Dispatch attempts so far (guarded by the cluster mutex). */
         uint32_t attempts = 0;
         /** Pod of the last failed attempt; a retry tries every OTHER
          *  pod first ("the next healthy candidate"). Written by the
-         *  completion hook before the retry is enqueued, read by the
-         *  failover thread after it is dequeued (the retry queue's
-         *  mutex orders the two). */
+         *  relay before the retry is enqueued, read by the failover
+         *  thread after it is dequeued (the retry queue's mutex
+         *  orders the two). */
         int lastPod = -1;
         double submitMs = 0;
         double deadlineAbsMs = std::numeric_limits<double>::infinity();
@@ -389,69 +403,66 @@ class ServiceCluster {
                          bool isRetry);
 
     /**
-     * Per-attempt completion hook body (may run under a pod lock).
-     * Exactly one of `attempt` / `pirAttempt` is non-null, matching
-     * the flight's kind.
+     * An attempt's relay (may run under the pod lock): refunds its
+     * load, feeds the breaker, and either queues a failover (returns
+     * false: the ticket stays open) or closes the flight's books and
+     * rewrites the report for the client (returns true).
      */
-    void onAttemptDone(const std::shared_ptr<Flight>& flight,
-                       const std::shared_ptr<BootstrapTicket>& attempt,
-                       const std::shared_ptr<PirTicket>& pirAttempt,
-                       size_t podIdx, bool probe,
-                       const RequestReport& rep, bool ok);
+    bool onAttemptDone(const std::shared_ptr<Flight>& flight,
+                       size_t podIdx, bool probe, RequestReport& rep,
+                       const std::exception_ptr& err);
 
-    /** Terminal settle paths; settle exactly once per flight. */
-    void settleSuccess(const std::shared_ptr<Flight>& flight,
-                       const std::shared_ptr<BootstrapTicket>& attempt,
-                       const std::shared_ptr<PirTicket>& pirAttempt,
-                       size_t podIdx, const RequestReport& rep);
-    void settleFailure(const std::shared_ptr<Flight>& flight,
-                       std::exception_ptr err, int podIdx,
-                       const RequestReport& rep, bool exhausted);
+    /** Terminal accounting, exactly once per flight, before its
+     *  ticket settles; `podIdx` -1 when no pod carried it. */
+    void settleFlight(const std::shared_ptr<Flight>& flight,
+                      RequestReport& rep, int podIdx, bool ok,
+                      bool exhausted);
+    /** After the ticket settled: user hook, then the drain count. */
+    void flightDone(const std::shared_ptr<Flight>& flight,
+                    const RequestReport& rep, bool ok);
+    /** Fails a flight no pod can carry (failover thread). */
+    void failUnplaced(const std::shared_ptr<Flight>& flight,
+                      std::exception_ptr err);
 
-    /** Common admission body of submit()/submitPir(): chaos advance,
-     *  shedding, registry admission, option stamping, initial
-     *  dispatch, rejection accounting. The flight arrives with its
-     *  kind, payload, client ticket, costMs, and items set. */
-    void submitFlight(const std::shared_ptr<Flight>& flight,
-                      SubmitOptions opts);
+    /** Common admission body of submit()/submitPir(): builds the
+     *  flight of tenant class `cls`, then chaos advance, shedding,
+     *  registry admission, option stamping, initial dispatch, and
+     *  rejection accounting. */
+    void submitFlight(
+        uint64_t tenantId, size_t cls,
+        std::function<std::unique_ptr<PodRequest>()> newRequest,
+        SubmitOptions opts);
 
     void failoverLoop();
     double nowMs() const;
 
-    std::vector<boot::DistributedBootstrapper*> pods_;
     TenantRegistry* registry_;
     ClusterConfig cfg_;
-    size_t itemsPerRequest_ = 0;
     size_t tenantKeyBytesDefault_ = 0;
-    double requestCostMs_ = 0; ///< modeled per-request work
-    double pirRequestCostMs_ = 0; ///< modeled per-lookup work
-    size_t pirItemsPerRequest_ = 0; ///< first-dim groups per lookup
-    std::vector<std::unique_ptr<BootstrapService>> services_;
-    /** One colocated PIR pod per bootstrap pod; empty without a
-     *  configured pirServer. */
-    std::vector<std::unique_ptr<PirService>> pirServices_;
+    /** One pod table per tenant class, index = pod; the lookup table
+     *  is empty without a configured pirServer. */
+    std::array<PodTable, kClasses> tables_;
     std::vector<std::unique_ptr<BootstrappingKeyCache>> caches_;
     std::unique_ptr<ChaosEngine> chaos_;
     std::chrono::steady_clock::time_point epoch_;
 
     mutable std::mutex m_; ///< counters + load table + breakers
     std::condition_variable settleCv_; ///< liveFlights_ drops
+    std::array<ClassInfo, kClasses> classes_;
     std::vector<double> podLoadMs_; ///< modeled outstanding work
     std::vector<CircuitBreaker> breakers_;
     uint64_t submitSeq_ = 0; ///< submission counter (drives chaos)
     size_t liveFlights_ = 0;
-    uint64_t submitted_ = 0, rejectedQuota_ = 0, rejectedCapacity_ = 0;
+    uint64_t rejectedQuota_ = 0, rejectedCapacity_ = 0;
     uint64_t rejectedUnhealthy_ = 0;
     uint64_t rejectedShedDeadline_ = 0, rejectedShedBrownout_ = 0;
     uint64_t routedPreferred_ = 0, spilled_ = 0;
-    uint64_t requestsCompleted_ = 0, requestsFailed_ = 0;
     uint64_t failovers_ = 0, failoverSucceeded_ = 0,
              failoverExhausted_ = 0;
     uint64_t failoverSweeps_ = 0;
     size_t maxRetryBatch_ = 0;
-    uint64_t pirSubmitted_ = 0, pirCompleted_ = 0, pirFailed_ = 0;
 
-    // Failover machinery (its own lock: the completion hooks enqueue
+    // Failover machinery (its own lock: the relays enqueue
     // while possibly holding a pod lock, and must never wait on the
     // dispatch work the failover thread does).
     std::mutex retryM_;

@@ -116,7 +116,9 @@ class LatencyReservoir {
     mutable bool sortedDirty_ = true;
 };
 
-/** Point-in-time snapshot of a BootstrapService (metrics()). */
+/** Point-in-time snapshot of a pod (Pod::metrics()). Batches are the
+ *  workload's item batches: blind rotations for bootstrap pods,
+ *  first-dimension group folds for PIR pods (no link traffic). */
 struct ServiceMetrics {
     // Request accounting.
     uint64_t submitted = 0; ///< accepted by admission control

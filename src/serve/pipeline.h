@@ -1,11 +1,13 @@
 /**
  * @file
- * Staged-pipeline plumbing of the bootstrap serving runtime: stage
+ * Staged-pipeline plumbing of the serving pod (serve/pod.h): stage
  * identities, the bounded stage queues sitting between them, and the
  * PipelineBoard that accounts per-stage occupancy, queue depth, and
  * stall time.
  *
- * The service runs every request through three stages —
+ * The pod runs every request through three stages — named for the
+ * bootstrap workload; a PIR pod's are group split / group folds /
+ * finish fold —
  *
  *   Front  : modulus switch + LWE extraction (Algorithm 2 steps 1-2)
  *   Rotate : blind-rotate batches dispatched across lanes
@@ -19,7 +21,7 @@
  * unless the downstream queue has room), never by blocking mid-push,
  * so the shared worker pool can never deadlock on a full queue.
  *
- * Nothing here is thread-safe on its own: the service mutates queues
+ * Nothing here is thread-safe on its own: the pod mutates queues
  * and board under its single mutex, exactly like the ItemQueue.
  */
 

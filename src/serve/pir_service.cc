@@ -1,26 +1,47 @@
 #include "serve/pir_service.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
 
 namespace heap::serve {
 
+namespace {
+
+/** One lookup: the shared query, then its dimension-0 results. */
+struct PirRequest : TicketedRequest<rlwe::Ciphertext> {
+    std::shared_ptr<const pir::PirQuery> query;
+    std::vector<rlwe::Ciphertext> firstPass; ///< one per group
+};
+
+PirRequest&
+lookup(PodRequest& r)
+{
+    return static_cast<PirRequest&>(r);
+}
+
+ServiceConfig
+podConfig(const PirServiceConfig& cfg)
+{
+    ServiceConfig pod;
+    pod.workers = cfg.workers;
+    pod.maxQueuedRequests = cfg.maxQueuedRequests;
+    pod.maxBatchItems = cfg.maxBatchItems;
+    pod.starvationPasses = cfg.starvationPasses;
+    return pod;
+}
+
+} // namespace
+
 PirService::PirService(const pir::PirServer& server,
                        PirServiceConfig cfg)
-    : server_(&server),
-      cfg_(cfg),
-      queue_(cfg.starvationPasses),
-      epoch_(std::chrono::steady_clock::now())
+    : Pod("pir", podConfig(cfg), cfg.workers,
+          cfg.maxBatchItems == 0 ? std::numeric_limits<size_t>::max()
+                                 : cfg.maxBatchItems),
+      server_(&server),
+      cfg_(cfg)
 {
-    HEAP_CHECK(cfg.workers >= 1 && cfg.workers <= 64,
-               "bad worker count " << cfg.workers);
-    HEAP_CHECK(cfg.maxQueuedRequests >= 1, "bad admission cap");
-    workers_.reserve(cfg.workers);
-    for (size_t i = 0; i < cfg.workers; ++i) {
-        workers_.emplace_back([this] { workerLoop(); });
-    }
+    start();
 }
 
 PirService::~PirService()
@@ -28,475 +49,66 @@ PirService::~PirService()
     shutdown();
 }
 
-double
-PirService::nowMs() const
+std::unique_ptr<PodRequest>
+PirService::request(std::shared_ptr<const pir::PirQuery> query,
+                    std::shared_ptr<PirTicket> ticket)
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
+    auto r = std::make_unique<PirRequest>();
+    r->ticket = std::move(ticket);
+    r->query = std::move(query);
+    return r;
 }
 
 std::shared_ptr<PirTicket>
 PirService::submit(std::shared_ptr<const pir::PirQuery> query,
-                   SubmitOptions opts,
-                   std::shared_ptr<PirTicket> ticket)
+                   SubmitOptions opts, std::shared_ptr<PirTicket> ticket)
 {
-    HEAP_CHECK(query != nullptr, "null PIR query");
-    // Shape-check before admission: a malformed query fails loudly at
-    // the door, never as a retryable pod fault.
-    server_->validateQuery(*query);
-    if (opts.deadlineMs) {
-        HEAP_CHECK(*opts.deadlineMs >= 0,
-                   "negative deadline " << *opts.deadlineMs);
-    }
     if (ticket == nullptr) {
         ticket = std::make_shared<PirTicket>();
     }
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        if (stopping_) {
-            ++rejected_;
-            HEAP_FATAL("pir service is shutting down: "
-                       "request rejected");
-        }
-        if (crashed_) {
-            ++rejected_;
-            HEAP_FATAL("pir pod crashed: request rejected");
-        }
-        if (live_.size() >= cfg_.maxQueuedRequests) {
-            ++rejected_;
-            HEAP_FATAL("pir service at capacity ("
-                       << live_.size() << " live requests): "
-                       << "request rejected");
-        }
-        auto p = std::make_unique<Request>();
-        p->id = nextId_++;
-        p->ticket = ticket;
-        p->query = std::move(query);
-        p->opts = opts;
-        p->arrivalMs = nowMs();
-        p->deadlineAbsMs =
-            opts.deadlineMs
-                ? p->arrivalMs + *opts.deadlineMs
-                : std::numeric_limits<double>::infinity();
-        intake_.push_back(p->id);
-        live_.emplace(p->id, std::move(p));
-        ++submitted_;
-        maxQueueDepth_ = std::max(maxQueueDepth_, live_.size());
-    }
-    workCv_.notify_all();
+    auto r = request(std::move(query), ticket);
+    r->opts = std::move(opts);
+    submitRequest(std::move(r));
     return ticket;
 }
 
 void
-PirService::pause()
+PirService::admit(const PodRequest& req) const
 {
-    std::lock_guard<std::mutex> lock(m_);
-    paused_ = true;
+    const auto& query = static_cast<const PirRequest&>(req).query;
+    HEAP_CHECK(query != nullptr, "null PIR query");
+    server_->validateQuery(*query);
+}
+
+size_t
+PirService::front(PodRequest& req)
+{
+    const size_t groups = server_->firstDimGroups();
+    lookup(req).firstPass.resize(groups);
+    return groups;
+}
+
+BatchTraffic
+PirService::runBatch(size_t, const std::vector<ItemRef>& items)
+{
+    // Group folds: pure const arithmetic on the shared server.
+    for (const ItemRef& r : items) {
+        PirRequest& p = lookup(*r.req);
+        p.firstPass[r.index] = server_->foldFirstGroup(*p.query, r.index);
+    }
+    return {};
 }
 
 void
-PirService::resume()
+PirService::finish(PodRequest& req)
 {
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        paused_ = false;
-    }
-    workCv_.notify_all();
-}
-
-void
-PirService::crash()
-{
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        if (!crashed_) {
-            crashed_ = true;
-            ++crashes_;
-        }
-        // Flush synchronously, same contract as the bootstrap pod:
-        // when crash() returns, every query without dispatched
-        // compute HAS failed and its hooks have run. Queries with
-        // groups being folded right now settle through the worker
-        // when the batch returns (their batchError is set here).
-        crashFlushLocked();
-    }
-    workCv_.notify_all();
-}
-
-void
-PirService::recover()
-{
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        crashed_ = false;
-    }
-    workCv_.notify_all();
-}
-
-void
-PirService::injectFailures(uint64_t n)
-{
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        injectRemaining_ += n;
-    }
-    workCv_.notify_all();
-}
-
-void
-PirService::drain()
-{
-    std::unique_lock<std::mutex> lock(m_);
-    HEAP_CHECK(!paused_, "drain() on a paused service cannot finish");
-    doneCv_.wait(lock, [&] { return live_.empty(); });
-}
-
-void
-PirService::shutdown()
-{
-    std::vector<std::thread> toJoin;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        stopping_ = true;
-        paused_ = false; // the drain needs the workers running
-        if (!joined_) {
-            joined_ = true;
-            toJoin.swap(workers_);
-        }
-    }
-    workCv_.notify_all();
-    for (std::thread& t : toJoin) {
-        t.join();
-    }
-}
-
-bool
-PirService::canIntakeLocked() const
-{
-    return !paused_ && !crashed_ && !intake_.empty();
-}
-
-bool
-PirService::canDispatchLocked() const
-{
-    return !paused_ && !crashed_ && !queue_.empty();
-}
-
-bool
-PirService::crashWorkLocked() const
-{
-    return crashed_ && (!intake_.empty() || !queue_.empty());
-}
-
-bool
-PirService::haveRunnableWorkLocked() const
-{
-    return crashWorkLocked() || canIntakeLocked()
-           || canDispatchLocked();
-}
-
-bool
-PirService::idleLocked() const
-{
-    return intake_.empty() && queue_.empty() && inFlight_ == 0;
-}
-
-void
-PirService::crashFlushLocked()
-{
-    auto podDown = [] {
-        return std::make_exception_ptr(
-            PodError("pir pod crashed: request lost"));
-    };
-    // Intake: nothing dispatched yet, fail directly.
-    while (!intake_.empty()) {
-        const uint64_t id = intake_.front();
-        intake_.pop_front();
-        failRequestLocked(live_.at(id).get(), podDown());
-    }
-    // Group pool: pull every undispatched item and settle it as
-    // failed; queries whose whole tail was still queued reach zero
-    // remaining here. Queries with groups in a flying batch keep
-    // their outstanding count and fail when the batch returns — the
-    // flush never touches a group a worker is folding right now.
-    if (!queue_.empty()) {
-        PlannedBatch all = queue_.formBatch(queue_.pendingItems());
-        for (const WorkItem& w : all.items) {
-            Request* p = live_.at(w.requestId).get();
-            if (!p->batchError) {
-                p->batchError = podDown();
-            }
-            --p->remaining;
-            if (p->remaining == 0) {
-                failRequestLocked(p, p->batchError);
-            }
-        }
-    }
-}
-
-void
-PirService::failRequestLocked(Request* p, std::exception_ptr err)
-{
-    RequestReport rep;
-    const double now = nowMs();
-    rep.id = p->id;
-    rep.totalMs = now - p->arrivalMs;
-    rep.queueMs =
-        (p->firstDispatchMs >= 0 ? p->firstDispatchMs : now)
-        - p->arrivalMs;
-    rep.batches = p->batches;
-    rep.deadlineMissed = now > p->deadlineAbsMs;
-    rep.completionSeq = ++completionSeq_;
-    rep.budgetBits = std::numeric_limits<double>::infinity();
-    rep.precisionBits = std::numeric_limits<double>::infinity();
-    ++failed_;
-    auto ticket = std::move(p->ticket);
-    auto onDone = std::move(p->opts.onDone);
-    live_.erase(p->id);
-    // The ticket's lock nests inside m_ only, never the reverse.
-    ticket->fail(std::move(err), rep);
-    if (onDone) {
-        // Still under m_ (documented): the hook must not re-enter
-        // the service.
-        onDone(rep, /*ok=*/false);
-    }
-    doneCv_.notify_all();
-}
-
-void
-PirService::finishRequest(Request* p)
-{
-    rlwe::Ciphertext out;
-    std::exception_ptr err = p->batchError;
-    if (!err) {
-        try {
-            // Remaining-dimension fold over the collected group
-            // results, in group order — the exact tail answer()
-            // runs, so the result does not depend on batch shape or
-            // worker count.
-            out = server_->finishFold(*p->query,
-                                      std::move(p->firstPass));
-        } catch (...) {
-            err = std::current_exception();
-        }
-    }
-
-    const double budgetBits = server_->answerBudgetBits();
-    RequestReport rep;
-    std::shared_ptr<PirTicket> ticket;
-    std::function<void(const RequestReport&, bool)> onDone;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        const double now = nowMs();
-        rep.id = p->id;
-        rep.totalMs = now - p->arrivalMs;
-        rep.queueMs =
-            (p->firstDispatchMs >= 0 ? p->firstDispatchMs : now)
-            - p->arrivalMs;
-        rep.batches = p->batches;
-        rep.deadlineMissed = now > p->deadlineAbsMs;
-        rep.completionSeq = ++completionSeq_;
-        rep.budgetBits = budgetBits;
-        rep.precisionBits =
-            std::numeric_limits<double>::infinity();
-        if (err) {
-            ++failed_;
-        } else {
-            ++completed_;
-            latency_.record(rep.totalMs);
-            if (rep.deadlineMissed) {
-                ++deadlineMisses_;
-            }
-            minReturnedBudgetBits_ =
-                std::min(minReturnedBudgetBits_, budgetBits);
-            if (budgetBits <= 0) {
-                ++guardTrips_;
-            }
-        }
-        ticket = std::move(p->ticket);
-        onDone = std::move(p->opts.onDone);
-        live_.erase(p->id);
-    }
-    const bool ok = err == nullptr;
-    if (err) {
-        ticket->fail(std::move(err), rep);
-    } else {
-        ticket->fulfil(std::move(out), rep);
-    }
-    if (onDone) {
-        onDone(rep, ok);
-    }
-    doneCv_.notify_all();
-}
-
-void
-PirService::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(m_);
-    for (;;) {
-        workCv_.wait(lock, [&] {
-            return haveRunnableWorkLocked()
-                   || (stopping_ && idleLocked());
-        });
-        if (stopping_ && idleLocked()) {
-            return;
-        }
-
-        // A crashed pod fails its backlog instead of computing it.
-        if (crashWorkLocked()) {
-            crashFlushLocked();
-            workCv_.notify_all();
-            continue;
-        }
-
-        // Intake: the injection point (the bootstrap front stage's
-        // role), then the query's groups enter the scheduled pool.
-        if (canIntakeLocked()) {
-            const uint64_t id = intake_.front();
-            intake_.pop_front();
-            Request* p = live_.at(id).get();
-            if (injectRemaining_ > 0) {
-                --injectRemaining_;
-                ++injectedFailures_;
-                failRequestLocked(
-                    p, std::make_exception_ptr(PodError(
-                           "injected pod fault: request failed")));
-                workCv_.notify_all();
-                continue;
-            }
-            const size_t groups = server_->firstDimGroups();
-            p->firstPass.resize(groups);
-            p->remaining = groups;
-            queue_.addRequest(p->id, p->opts.priority,
-                              p->deadlineAbsMs, groups,
-                              p->opts.fairRank);
-            workCv_.notify_all();
-            continue;
-        }
-
-        if (canDispatchLocked()) {
-            const size_t cap = cfg_.maxBatchItems == 0
-                                   ? queue_.pendingItems()
-                                   : cfg_.maxBatchItems;
-            PlannedBatch batch = queue_.formBatch(
-                std::min(cap, queue_.pendingItems()));
-            HEAP_ASSERT(!batch.items.empty(), "empty batch formed");
-
-            std::vector<ItemRef> refs;
-            refs.reserve(batch.items.size());
-            const double now = nowMs();
-            Request* lastReq = nullptr;
-            for (const WorkItem& w : batch.items) {
-                Request* p = live_.at(w.requestId).get();
-                refs.push_back(ItemRef{p, w.index});
-                if (p != lastReq) { // items arrive grouped per request
-                    if (p->firstDispatchMs < 0) {
-                        p->firstDispatchMs = now;
-                    }
-                    ++p->batches;
-                    lastReq = p;
-                }
-            }
-            ++batches_;
-            occupancySum_ += batch.distinctRequests;
-            itemsSum_ += batch.items.size();
-            ++inFlight_;
-            lock.unlock();
-
-            // Group folds, off the lock: pure const arithmetic on
-            // the shared server. One failure poisons the whole
-            // batch, mirroring the bootstrap batch contract.
-            std::vector<rlwe::Ciphertext> outs(refs.size());
-            std::exception_ptr err;
-            try {
-                for (size_t i = 0; i < refs.size(); ++i) {
-                    outs[i] = server_->foldFirstGroup(
-                        *refs[i].req->query, refs[i].group);
-                }
-            } catch (...) {
-                err = std::current_exception();
-            }
-
-            lock.lock();
-            std::vector<Request*> done;
-            for (size_t i = 0; i < refs.size(); ++i) {
-                Request* p = refs[i].req;
-                if (err) {
-                    if (!p->batchError) {
-                        p->batchError = err;
-                    }
-                } else {
-                    p->firstPass[refs[i].group] =
-                        std::move(outs[i]);
-                }
-                --p->remaining;
-                if (p->remaining == 0) {
-                    if (crashed_ && !p->batchError) {
-                        // Crashed while the batch was folding:
-                        // in-flight work is lost, same as the
-                        // bootstrap pod.
-                        p->batchError = std::make_exception_ptr(
-                            PodError("pir pod crashed: "
-                                     "request lost"));
-                    }
-                    done.push_back(p);
-                }
-            }
-            // Settle completed queries off the lock (finishFold is
-            // real compute); failed ones settle under it, exactly
-            // like the ordinary failure path.
-            std::vector<Request*> toFinish;
-            for (Request* p : done) {
-                if (p->batchError) {
-                    failRequestLocked(p, p->batchError);
-                } else {
-                    toFinish.push_back(p);
-                }
-            }
-            lock.unlock();
-            for (Request* p : toFinish) {
-                finishRequest(p);
-            }
-            lock.lock();
-            --inFlight_;
-            workCv_.notify_all();
-            continue;
-        }
-        // Lost a race to another worker; re-evaluate the predicate.
-    }
-}
-
-ServiceMetrics
-PirService::metrics() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    ServiceMetrics m;
-    m.submitted = submitted_;
-    m.completed = completed_;
-    m.failed = failed_;
-    m.rejected = rejected_;
-    m.deadlineMisses = deadlineMisses_;
-    m.queueDepth = live_.size();
-    m.maxQueueDepth = maxQueueDepth_;
-    m.batches = batches_;
-    if (batches_ > 0) {
-        m.batchOccupancy = static_cast<double>(occupancySum_)
-                           / static_cast<double>(batches_);
-        m.meanBatchItems = static_cast<double>(itemsSum_)
-                           / static_cast<double>(batches_);
-    }
-    if (latency_.count() > 0) {
-        m.p50Ms = latency_.percentile(50);
-        m.p95Ms = latency_.percentile(95);
-        m.p99Ms = latency_.percentile(99);
-        m.meanMs = latency_.mean();
-    }
-    m.injectedFailures = injectedFailures_;
-    m.crashes = crashes_;
-    m.minReturnedBudgetBits = minReturnedBudgetBits_;
-    m.guardTrips = guardTrips_;
-    return m;
+    // Remaining-dimension fold over the group results, in group order:
+    // the exact tail answer() runs, so the result does not depend on
+    // batch shape or worker count.
+    PirRequest& p = lookup(req);
+    p.result = server_->finishFold(*p.query, std::move(p.firstPass));
+    p.budgetBits = server_->answerBudgetBits();
+    p.guardTripped = p.budgetBits <= 0;
 }
 
 } // namespace heap::serve

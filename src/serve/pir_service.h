@@ -1,58 +1,43 @@
 /**
  * @file
  * PirService — the encrypted-lookup serving pod: the second tenant
- * class next to BootstrapService, riding the same worker-pool /
- * ItemQueue / admission-control machinery.
+ * class next to BootstrapService, and the second workload on the
+ * shared pod skeleton (serve/pod.h).
  *
  * Many client threads submit() RGSW-packed queries (pir::PirQuery)
- * against one shared pir::PirServer; the service decomposes each
- * query's dimension-0 fold into its firstDimGroups() independent
- * work items, the ItemQueue packs items from *different* queries
- * into batches (priority / EDF / weighted-fair order, same as
- * bootstrap), and the worker that settles a query's last group runs
- * the remaining-dimension fold inline and fulfils the ticket.
+ * against one shared pir::PirServer. The front stage splits a query's
+ * dimension-0 fold into its firstDimGroups() independent items, the
+ * ItemQueue packs items from *different* queries into batches
+ * (priority / EDF / weighted-fair order), each lane (one per worker)
+ * folds a batch of groups, and the finish stage folds the remaining
+ * dimensions and fulfils the ticket.
  *
- * Guarantees (mirroring BootstrapService, asserted by
- * tests/pir_serve_test.cc):
+ * Guarantees (asserted by tests/pir_serve_test.cc):
  *  - Determinism: each returned answer is byte-identical to
  *    PirServer::answer() of the same query — for every worker count,
  *    batch shape, and fault pattern — because the fold is pure
  *    arithmetic (foldFirstGroup per group, finishFold in group
  *    order; no RNG, no data-dependent scheduling effects).
- *  - Backpressure: submissions beyond maxQueuedRequests are rejected
- *    with a UserError; queueing is bounded.
- *  - Chaos surface: pause()/resume() (wedge), crash()/recover()
- *    (every live request fails with a retryable PodError; the
- *    cluster's failover recomputes it on a replica), and
- *    injectFailures() — the same fault alphabet the chaos harness
- *    drives on bootstrap pods.
- *  - Clean shutdown: shutdown()/destruction stops intake, settles
- *    every accepted request, and joins the workers.
+ *  - Isolation: a malformed query is a UserError at submit(), so it
+ *    can never fail the queries it would have shared a batch with.
+ *  - Backpressure, the fault alphabet, drain and shutdown: the pod's.
  */
 
 #ifndef HEAP_SERVE_PIR_SERVICE_H
 #define HEAP_SERVE_PIR_SERVICE_H
 
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "pir/pir.h"
-#include "serve/metrics.h"
-#include "serve/request.h"
-#include "serve/scheduler.h"
+#include "serve/pod.h"
 
 namespace heap::serve {
 
-/** PIR pod construction knobs (the bootstrap ServiceConfig's shape,
- *  minus the pipeline/link fields a fold does not have). */
+/** PIR pod construction knobs. Stage bounds are derived from the
+ *  worker count, as ServiceConfig's defaults are. */
 struct PirServiceConfig {
-    /** Worker threads: group folds and finish folds run on these. */
+    /** Worker threads: group folds and finish folds run on these;
+     *  each is also a batch lane. */
     size_t workers = 1;
     /** Admission cap: live queries (queued + running) beyond this are
      *  rejected at submit(). Bounds service memory. */
@@ -69,158 +54,48 @@ struct PirServiceConfig {
  * Asynchronous encrypted-lookup server over one immutable
  * pir::PirServer (shared, thread-safe: answer folds are const).
  */
-class PirService {
+class PirService : public Pod {
   public:
     /** @param server borrowed; must outlive the service. */
     PirService(const pir::PirServer& server, PirServiceConfig cfg = {});
 
     /** Drains accepted work, then joins the workers (shutdown()). */
-    ~PirService();
-
-    PirService(const PirService&) = delete;
-    PirService& operator=(const PirService&) = delete;
+    ~PirService() override;
 
     /**
-     * Submits one lookup. Shape-checks the query against the server's
-     * parameters and throws UserError immediately on a mismatch, when
-     * the service is shutting down or crashed, or when admission
-     * control is at capacity (backpressure — the rejection is
-     * counted, nothing is queued). The query is shared, not copied:
-     * the cluster's failover re-submits the same encrypted query to a
-     * replica.
-     *
-     * `ticket`, when non-null, is fulfilled instead of a fresh one
-     * (cluster failover, same contract as BootstrapService::submit).
+     * Submits one lookup. Throws UserError immediately when the query
+     * does not match the server's parameters (pir::PirServer::
+     * validateQuery), when the service is shutting down or crashed,
+     * or when admission control is at capacity. The query is shared,
+     * not copied: the cluster's failover re-submits the same
+     * encrypted query to a replica. `ticket`, when non-null, is
+     * fulfilled instead of a fresh one.
      */
     std::shared_ptr<PirTicket>
     submit(std::shared_ptr<const pir::PirQuery> query,
            SubmitOptions opts = {},
            std::shared_ptr<PirTicket> ticket = nullptr);
 
-    /** Stops forming batches (intake still accepts up to capacity).
-     *  Also the chaos harness's "wedge" fault. */
-    void pause();
-    void resume();
-
-    /** Crash the pod (chaos harness): every live query fails with a
-     *  retryable PodError — synchronously for everything undispatched,
-     *  through the worker for groups being folded right now — and
-     *  submit() rejects until recover(). */
-    void crash();
-
-    /** Leave the crashed state: intake accepts again. */
-    void recover();
-
-    /** Whether the pod is currently crashed (cheap routing probe). */
-    bool
-    crashed() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return crashed_;
-    }
-
-    /** Chaos harness: fail the next `n` queries that reach the
-     *  dispatch stage with a retryable PodError. */
-    void injectFailures(uint64_t n);
-
-    /** Blocks until every accepted query has settled. Must not be
-     *  called while paused. */
-    void drain();
-
-    /** Stops intake, settles every accepted query, joins the
-     *  workers. Idempotent. */
-    void shutdown();
-
-    /** Point-in-time metrics snapshot: the bootstrap ServiceMetrics
-     *  shape with PIR meanings — batches are group-fold batches,
-     *  minReturnedBudgetBits is the analytic answer floor, and the
-     *  link/pipeline fields stay zero (a fold has no wire). */
-    ServiceMetrics metrics() const;
-
-    /** Live queries (queued + running) — the admission-control
-     *  occupancy. Cheaper than metrics() for routing decisions. */
-    size_t
-    liveRequests() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return live_.size();
-    }
+    /** A request for `query` that settles `ticket`, for
+     *  submitRequest() (the cluster's per-attempt path). */
+    static std::unique_ptr<PodRequest>
+    request(std::shared_ptr<const pir::PirQuery> query,
+            std::shared_ptr<PirTicket> ticket);
 
     const PirServiceConfig& config() const { return cfg_; }
 
     const pir::PirServer& server() const { return *server_; }
 
+  protected:
+    void admit(const PodRequest& req) const override;
+    size_t front(PodRequest& req) override;
+    BatchTraffic runBatch(size_t lane,
+                          const std::vector<ItemRef>& items) override;
+    void finish(PodRequest& req) override;
+
   private:
-    /** Server-side state of one accepted query. */
-    struct Request {
-        uint64_t id = 0;
-        std::shared_ptr<PirTicket> ticket;
-        std::shared_ptr<const pir::PirQuery> query;
-        SubmitOptions opts;
-        double arrivalMs = 0;
-        double deadlineAbsMs = 0; ///< infinity when none
-        double firstDispatchMs = -1;
-        /** Dimension-0 group results, written in group order. */
-        std::vector<rlwe::Ciphertext> firstPass;
-        size_t remaining = 0; ///< groups still outstanding
-        size_t batches = 0;
-        /** First failure of a batch carrying this query's groups;
-         *  the ticket fails with it once every group settles. */
-        std::exception_ptr batchError;
-    };
-
-    /** (request, group) reference resolved while the lock is held. */
-    struct ItemRef {
-        Request* req = nullptr;
-        size_t group = 0;
-    };
-
-    void workerLoop();
-    /** Finish stage: fold dimensions 1..d-1 over the collected group
-     *  results and settle the ticket. Called without the lock. */
-    void finishRequest(Request* p);
-    void failRequestLocked(Request* p, std::exception_ptr err);
-    double nowMs() const;
-    bool canIntakeLocked() const;
-    bool canDispatchLocked() const;
-    bool haveRunnableWorkLocked() const;
-    bool idleLocked() const;
-    /** Crashed with flushable queued work pending. */
-    bool crashWorkLocked() const;
-    /** Crash drain: fails everything undispatched. Lock held. */
-    void crashFlushLocked();
-
     const pir::PirServer* server_;
     PirServiceConfig cfg_;
-    ItemQueue queue_;
-
-    mutable std::mutex m_;
-    std::condition_variable workCv_;
-    std::condition_variable doneCv_;
-    std::vector<std::thread> workers_;
-    /** Admitted, not yet offered to the ItemQueue (the injection /
-     *  validation point, like the bootstrap front stage). */
-    std::deque<uint64_t> intake_;
-    std::unordered_map<uint64_t, std::unique_ptr<Request>> live_;
-    bool paused_ = false;
-    bool crashed_ = false;
-    bool stopping_ = false;
-    bool joined_ = false;
-    uint64_t injectRemaining_ = 0;
-    size_t inFlight_ = 0; ///< batches + finish folds being computed
-    uint64_t nextId_ = 1;
-
-    // Metrics (guarded by m_).
-    std::chrono::steady_clock::time_point epoch_;
-    uint64_t submitted_ = 0, completed_ = 0, failed_ = 0,
-             rejected_ = 0, deadlineMisses_ = 0, completionSeq_ = 0;
-    size_t maxQueueDepth_ = 0;
-    uint64_t batches_ = 0, occupancySum_ = 0, itemsSum_ = 0;
-    uint64_t injectedFailures_ = 0, crashes_ = 0;
-    LatencyReservoir latency_;
-    double minReturnedBudgetBits_ =
-        std::numeric_limits<double>::infinity();
-    uint64_t guardTrips_ = 0;
 };
 
 } // namespace heap::serve

@@ -1,10 +1,9 @@
 /**
  * @file
- * Client-facing request types of the bootstrap serving runtime:
- * submission options (priority, deadline) and the ticket a client
- * blocks on for its refreshed ciphertext plus a per-request report
- * (queue/service latency, batches spanned, deadline outcome, noise
- * budget of the returned ciphertext).
+ * Client-facing request types of the serving runtime: submission
+ * options (priority, deadline) and the ticket a client blocks on for
+ * its result plus a per-request report (queue/service latency,
+ * batches spanned, deadline outcome, noise budget of the result).
  */
 
 #ifndef HEAP_SERVE_REQUEST_H
@@ -25,6 +24,9 @@ namespace heap::serve {
 
 /** Final per-request accounting; forward-declared for the hook. */
 struct RequestReport;
+
+/** The pod-side request that settles a ticket (serve/pod.h). */
+template <typename ResultT> struct TicketedRequest;
 
 /**
  * Retryable pod-level failure: an injected chaos fault or a pod
@@ -77,8 +79,8 @@ struct RequestReport {
      *  finished k-th. */
     uint64_t completionSeq = 0;
     /** Pod index that produced the result, for cluster-served
-     *  requests; -1 when the request was served by a bare
-     *  BootstrapService (no cluster in front of it). */
+     *  requests; -1 when the request was served by a bare pod (no
+     *  cluster in front of it). */
     int servedPod = -1;
     /** Dispatch attempts the request took: 1 = no failover; > 1 means
      *  a pod failed it retryably and the cluster re-submitted. */
@@ -96,8 +98,8 @@ struct RequestReport {
  * result the serving class returns: a refreshed ckks::Ciphertext for
  * bootstrap requests (BootstrapTicket), a folded rlwe::Ciphertext
  * answer for encrypted-lookup requests (PirTicket, serve/pir_service.h).
- * Created by the service's submit(); the service fulfils it exactly
- * once.
+ * Created by submit(); settled exactly once, by the pod request that
+ * carries it (TicketedRequest).
  */
 template <typename ResultT> class ResultTicket {
   public:
@@ -149,9 +151,7 @@ template <typename ResultT> class ResultTicket {
     }
 
   private:
-    friend class BootstrapService;
-    friend class PirService;
-    friend class ServiceCluster;
+    friend struct TicketedRequest<ResultT>;
 
     void
     fulfil(ResultT&& out, const RequestReport& report)

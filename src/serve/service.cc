@@ -1,46 +1,48 @@
 #include "serve/service.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/check.h"
 
 namespace heap::serve {
 
+namespace {
+
+/** One bootstrap: the input, then its front-phase state. */
+struct BootRequest : TicketedRequest<ckks::Ciphertext> {
+    ckks::Ciphertext input;
+    boot::ModSwitched ms;
+    std::vector<lwe::LweCiphertext> lwes; ///< extracted items
+    std::vector<rlwe::Ciphertext> rotated;
+};
+
+BootRequest&
+boot(PodRequest& r)
+{
+    return static_cast<BootRequest&>(r);
+}
+
+size_t
+batchCap(const boot::DistributedBootstrapper& dist,
+         const ServiceConfig& cfg)
+{
+    const size_t n = dist.context().basis()->n();
+    HEAP_CHECK(cfg.maxBatchItems <= n,
+               "batch cap " << cfg.maxBatchItems
+                            << " exceeds the ring dimension " << n);
+    return cfg.maxBatchItems == 0 ? n : cfg.maxBatchItems;
+}
+
+} // namespace
+
 BootstrapService::BootstrapService(boot::DistributedBootstrapper& dist,
                                    ServiceConfig cfg)
-    : dist_(&dist),
-      cfg_(cfg),
-      planner_(cfg.costModel,
-               BatchPlanner::Config{
-                   cfg.maxBatchItems == 0 ? dist.context().basis()->n()
-                                          : cfg.maxBatchItems,
-                   cfg.dispatchOverheadMs}),
-      queue_(cfg.starvationPasses),
-      epoch_(std::chrono::steady_clock::now())
+    : Pod("bootstrap", cfg, dist.secondaryCount() + 1,
+          batchCap(dist, cfg)),
+      dist_(&dist)
 {
-    HEAP_CHECK(cfg.workers >= 1 && cfg.workers <= 64,
-               "bad worker count " << cfg.workers);
-    HEAP_CHECK(cfg.maxQueuedRequests >= 1, "bad admission cap");
-    const size_t n = dist.context().basis()->n();
-    HEAP_CHECK(planner_.config().maxBatchItems <= n,
-               "batch cap " << planner_.config().maxBatchItems
-                            << " exceeds the ring dimension " << n);
     // The service owns the link protocol from here on: start from a
     // clean run (empty links, reseeded fault streams).
     dist.resetProtocolRun();
-    rotateCap_ = cfg.rotateQueueRequests != 0
-                     ? cfg.rotateQueueRequests
-                     : std::max<size_t>(8, 2 * cfg.workers);
-    finishQ_.setCapacity(cfg.finishQueueRequests != 0
-                             ? cfg.finishQueueRequests
-                             : std::max<size_t>(2, cfg.workers));
-    laneBusy_.assign(dist.secondaryCount() + 1, 0);
-    laneLoadMs_.assign(dist.secondaryCount() + 1, 0.0);
-    workers_.reserve(cfg.workers);
-    for (size_t i = 0; i < cfg.workers; ++i) {
-        workers_.emplace_back([this] { workerLoop(); });
-    }
+    start();
 }
 
 BootstrapService::~BootstrapService()
@@ -48,636 +50,108 @@ BootstrapService::~BootstrapService()
     shutdown();
 }
 
-double
-BootstrapService::nowMs() const
+std::unique_ptr<PodRequest>
+BootstrapService::request(const ckks::Ciphertext& in,
+                          std::shared_ptr<BootstrapTicket> ticket)
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
+    auto r = std::make_unique<BootRequest>();
+    r->ticket = std::move(ticket);
+    r->input = in;
+    return r;
 }
 
 std::shared_ptr<BootstrapTicket>
 BootstrapService::submit(const ckks::Ciphertext& in, SubmitOptions opts,
                          std::shared_ptr<BootstrapTicket> ticket)
 {
-    HEAP_CHECK(in.level() == 1,
-               "bootstrap expects a level-1 (single limb) ciphertext");
-    if (opts.deadlineMs) {
-        HEAP_CHECK(*opts.deadlineMs >= 0,
-                   "negative deadline " << *opts.deadlineMs);
-    }
     if (ticket == nullptr) {
         ticket = std::make_shared<BootstrapTicket>();
     }
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        if (stopping_) {
-            ++rejected_;
-            HEAP_FATAL("bootstrap service is shutting down: "
-                       "request rejected");
-        }
-        if (crashed_) {
-            ++rejected_;
-            HEAP_FATAL("bootstrap pod crashed: request rejected");
-        }
-        if (live_.size() >= cfg_.maxQueuedRequests) {
-            // Backpressure: bounded queueing, reject-with-error.
-            ++rejected_;
-            HEAP_FATAL("bootstrap service at capacity ("
-                       << live_.size() << " live requests): "
-                       << "request rejected");
-        }
-        auto p = std::make_unique<Request>();
-        p->id = nextId_++;
-        p->ticket = ticket;
-        p->input = in;
-        p->opts = opts;
-        p->arrivalMs = nowMs();
-        p->deadlineAbsMs =
-            opts.deadlineMs
-                ? p->arrivalMs + *opts.deadlineMs
-                : std::numeric_limits<double>::infinity();
-        intake_.push(p->id, p->arrivalMs);
-        live_.emplace(p->id, std::move(p));
-        ++submitted_;
-        maxQueueDepth_ = std::max(maxQueueDepth_, live_.size());
-    }
-    workCv_.notify_all();
+    auto r = request(in, ticket);
+    r->opts = std::move(opts);
+    submitRequest(std::move(r));
     return ticket;
 }
 
 void
-BootstrapService::pause()
+BootstrapService::validate(const ckks::Ciphertext& in) const
 {
-    std::lock_guard<std::mutex> lock(m_);
-    paused_ = true;
+    HEAP_CHECK(in.level() == 1,
+               "bootstrap expects a level-1 (single limb) ciphertext");
+    // A ciphertext of another context fails only deep in the front
+    // phase ("basis mismatch"); catch it here, as a user error.
+    const math::RnsBasis* basis = dist_->context().basis().get();
+    HEAP_CHECK(&in.ct.a.basis() == basis && &in.ct.b.basis() == basis,
+               "bootstrap input belongs to another context "
+               "(RNS basis mismatch)");
 }
 
 void
-BootstrapService::resume()
+BootstrapService::admit(const PodRequest& req) const
 {
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        paused_ = false;
-    }
-    workCv_.notify_all();
-}
-
-void
-BootstrapService::crash()
-{
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        if (!crashed_) {
-            crashed_ = true;
-            ++crashes_;
-        }
-        // Flush synchronously: when crash() returns, every request
-        // without dispatched compute HAS failed and its hooks have
-        // run. Deferring to the worker would make the fault window
-        // scheduler-dependent — a crash/recover pair applied a few
-        // microseconds apart (chaos events on adjacent submission
-        // indices) could fail nothing at all. Requests with batches
-        // in flight still settle through the worker when the batch
-        // returns. Hooks fire under the pod lock here, same as the
-        // ordinary failure path (lock order: pod -> cluster).
-        crashFlushLocked();
-    }
-    workCv_.notify_all();
-}
-
-void
-BootstrapService::recover()
-{
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        crashed_ = false;
-    }
-    workCv_.notify_all();
-}
-
-void
-BootstrapService::injectFailures(uint64_t n)
-{
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        injectRemaining_ += n;
-    }
-    workCv_.notify_all();
-}
-
-void
-BootstrapService::drain()
-{
-    std::unique_lock<std::mutex> lock(m_);
-    HEAP_CHECK(!paused_, "drain() on a paused service cannot finish");
-    doneCv_.wait(lock, [&] { return live_.empty(); });
-}
-
-void
-BootstrapService::shutdown()
-{
-    std::vector<std::thread> toJoin;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        stopping_ = true;
-        paused_ = false; // the drain needs the workers running
-        if (!joined_) {
-            joined_ = true;
-            toJoin.swap(workers_);
-        }
-    }
-    workCv_.notify_all();
-    // Workers exit only once every accepted request has completed, so
-    // joining them IS the drain.
-    for (std::thread& t : toJoin) {
-        t.join();
-    }
+    validate(static_cast<const BootRequest&>(req).input);
 }
 
 size_t
-BootstrapService::pickLaneLocked() const
+BootstrapService::front(PodRequest& req)
 {
-    size_t best = laneBusy_.size();
-    for (size_t i = 0; i < laneBusy_.size(); ++i) {
-        if (laneBusy_[i]) {
-            continue;
-        }
-        if (best == laneBusy_.size()
-            || laneLoadMs_[i] < laneLoadMs_[best]) {
-            best = i;
-        }
-    }
-    return best;
+    // Steps 1-2 + extraction, the exact front phase the sequential
+    // bootstrap() runs on the primary (boot layer owns the single
+    // implementation — byte-identity by construction).
+    BootRequest& p = boot(req);
+    boot::FrontPhase fp = boot::runFrontPhase(dist_->context(), p.input,
+                                              1.0, "serve bootstrap");
+    p.ms = std::move(fp.ms);
+    p.lwes = std::move(fp.items);
+    p.rotated.resize(p.lwes.size());
+    return p.lwes.size();
 }
 
-bool
-BootstrapService::canFrontLocked() const
+BatchTraffic
+BootstrapService::runBatch(size_t lane, const std::vector<ItemRef>& items)
 {
-    // Front entry is gated on the rotate pool's request bound. A
-    // crashed pod does no front compute: the crash flush fails the
-    // intake directly.
-    return !paused_ && !crashed_ && !intake_.empty()
-           && queue_.pendingRequests() < rotateCap_;
-}
-
-bool
-BootstrapService::canDispatchLocked() const
-{
-    // Dispatch entry is gated on room in the finish queue plus a free
-    // lane; the gate (not a blocking push) is what makes a full
-    // finish queue unable to wedge the worker pool.
-    return !paused_ && !crashed_ && !queue_.empty()
-           && finishQ_.hasRoom()
-           && pickLaneLocked() != laneBusy_.size();
-}
-
-bool
-BootstrapService::crashWorkLocked() const
-{
-    return crashed_
-           && (!intake_.empty() || !queue_.empty()
-               || !finishQ_.empty());
-}
-
-bool
-BootstrapService::haveRunnableWorkLocked() const
-{
-    // The finish stage is never gated (not even by pause(): in-flight
-    // work always completes, exactly like the pre-pipeline inline
-    // finish) — that is the pipeline's forward-progress guarantee.
-    return crashWorkLocked() || !finishQ_.empty() || canFrontLocked()
-           || canDispatchLocked();
-}
-
-bool
-BootstrapService::idleLocked() const
-{
-    // finishQ_ matters here: a request resident in an intermediate
-    // stage queue is accepted-but-unfinished work, and drain() /
-    // shutdown() promise to complete it. Omitting any stage queue
-    // would let workers exit (or drain() hang) with work still queued.
-    return intake_.empty() && queue_.empty() && finishQ_.empty()
-           && inFlight_ == 0;
-}
-
-void
-BootstrapService::crashFlushLocked()
-{
-    auto podDown = [] {
-        return std::make_exception_ptr(
-            PodError("bootstrap pod crashed: request lost"));
-    };
-    double readyMs = 0;
-    // Intake: nothing computed yet, fail directly.
-    while (!intake_.empty()) {
-        const uint64_t id = intake_.pop(&readyMs);
-        failRequestLocked(live_.at(id).get(), podDown());
-    }
-    // Rotate pool: pull every undispatched item and settle it as
-    // failed. Requests whose whole tail was still queued reach zero
-    // remaining here; requests with batches in flight settle when
-    // runBatch returns (their batchError is set now, so they fail
-    // through the ordinary finish path). Never touching a request
-    // with outstanding dispatched items is what makes the flush safe
-    // against the workers computing those batches right now.
-    if (!queue_.empty()) {
-        PlannedBatch all = queue_.formBatch(queue_.pendingItems());
-        board_.dequeued(Stage::Rotate, all.items.size());
-        const double now = nowMs();
-        for (const WorkItem& w : all.items) {
-            Request* p = live_.at(w.requestId).get();
-            if (!p->batchError) {
-                p->batchError = podDown();
-            }
-            --p->remaining;
-            if (p->remaining == 0) {
-                finishQ_.push(p, now);
-            }
-        }
-    }
-    // Finish queue: every item settled; fail without repacking.
-    while (!finishQ_.empty()) {
-        Request* p = finishQ_.pop(&readyMs);
-        failRequestLocked(p,
-                          p->batchError ? p->batchError : podDown());
-    }
-}
-
-std::exception_ptr
-BootstrapService::runFront(Request* p) const
-{
-    try {
-        // Steps 1-2 + extraction, the exact front phase the
-        // sequential bootstrap() runs on the primary (boot layer owns
-        // the single implementation — byte-identity by construction).
-        boot::FrontPhase fp = boot::runFrontPhase(
-            dist_->context(), p->input, 1.0, "serve bootstrap");
-        p->ms = std::move(fp.ms);
-        p->lwes = std::move(fp.items);
-        p->rotated.resize(p->lwes.size());
-        p->remaining = p->lwes.size();
-        return nullptr;
-    } catch (...) {
-        return std::current_exception();
-    }
-}
-
-void
-BootstrapService::failRequestLocked(Request* p, std::exception_ptr err)
-{
-    RequestReport rep;
-    const double now = nowMs();
-    rep.id = p->id;
-    rep.totalMs = now - p->arrivalMs;
-    rep.queueMs =
-        (p->firstDispatchMs >= 0 ? p->firstDispatchMs : now)
-        - p->arrivalMs;
-    rep.batches = p->batches;
-    rep.deadlineMissed = now > p->deadlineAbsMs;
-    rep.completionSeq = ++completionSeq_;
-    rep.budgetBits = std::numeric_limits<double>::infinity();
-    rep.precisionBits = std::numeric_limits<double>::infinity();
-    ++failed_;
-    auto ticket = std::move(p->ticket);
-    auto onDone = std::move(p->opts.onDone);
-    live_.erase(p->id);
-    // The ticket's lock nests inside m_ only, never the reverse.
-    ticket->fail(std::move(err), rep);
-    if (onDone) {
-        // Still under m_ (documented): the hook must not re-enter the
-        // service.
-        onDone(rep, /*ok=*/false);
-    }
-    doneCv_.notify_all();
-}
-
-void
-BootstrapService::runBatch(size_t lane,
-                           const std::vector<ItemRef>& refs,
-                           double dispatchMs)
-{
-    // Move the items out. Safe without the lock: a request's front
-    // phase happened-before its items were queued, each (request,
-    // index) pair is dispatched exactly once, and concurrent batches
-    // touch disjoint elements of the same vector (no resize).
     std::vector<lwe::LweCiphertext> lwes;
-    lwes.reserve(refs.size());
-    for (const ItemRef& r : refs) {
-        lwes.push_back(std::move(r.req->lwes[r.index]));
+    lwes.reserve(items.size());
+    for (const ItemRef& r : items) {
+        lwes.push_back(std::move(boot(*r.req).lwes[r.index]));
     }
-
-    std::vector<rlwe::Ciphertext> accs;
+    // Lane 0 rotates on the primary; lane k > 0 exchanges with
+    // secondary k - 1 over its link.
     boot::ExchangeStats st{};
-    std::exception_ptr err;
-    try {
-        accs = lane == 0
-                   ? dist_->rotateLocal(lwes)
-                   : dist_->exchangeRotate(
-                         lane - 1,
-                         seq_.fetch_add(1, std::memory_order_relaxed),
-                         lwes, st);
-    } catch (...) {
-        err = std::current_exception();
+    std::vector<rlwe::Ciphertext> accs =
+        lane == 0 ? dist_->rotateLocal(lwes)
+                  : dist_->exchangeRotate(
+                        lane - 1, seq_.fetch_add(1, std::memory_order_relaxed),
+                        lwes, st);
+    for (size_t i = 0; i < items.size(); ++i) {
+        boot(*items[i].req).rotated[items[i].index] = std::move(accs[i]);
     }
-
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        wireOut_ += st.wireOut;
-        wireIn_ += st.wireIn;
-        retransmits_ += st.retransmits;
-        if (st.dead) {
-            ++reclaimed_;
-        }
-        const double now = nowMs();
-        // Account the rotate task before any request it completes can
-        // reach the finish stage: a metrics() snapshot taken after the
-        // last ticket settles must already count this batch.
-        board_.taskFinished(Stage::Rotate, dispatchMs, now);
-        for (size_t i = 0; i < refs.size(); ++i) {
-            Request* p = refs[i].req;
-            if (err) {
-                if (!p->batchError) {
-                    p->batchError = err;
-                }
-            } else {
-                p->rotated[refs[i].index] = std::move(accs[i]);
-            }
-            --p->remaining;
-            if (p->remaining == 0) {
-                // Hand the request to the finish stage instead of
-                // repacking inline: this worker's lane frees up for
-                // the next batch while another worker repacks, which
-                // is the pipeline's rotate/finish overlap. The push
-                // never blocks; dispatch gating keeps the queue near
-                // its bound (one batch may complete several requests,
-                // briefly overshooting it).
-                finishQ_.push(p, now);
-            }
-        }
-    }
-    workCv_.notify_all();
+    return BatchTraffic{st.wireOut, st.wireIn, st.retransmits, st.dead};
 }
 
 void
-BootstrapService::finishRequest(Request* p, double startMs)
+BootstrapService::finish(PodRequest& req)
 {
+    // Steps 3-5 tail, identical to the sequential path: the repack
+    // consumes the accumulators in extraction order and the output
+    // budget is computed analytically, so the result does not depend
+    // on batch shape, lane, worker count, or link faults.
+    BootRequest& p = boot(req);
     const ckks::Context& ctx = dist_->context();
-    ckks::Ciphertext out;
-    double budgetBits = std::numeric_limits<double>::infinity();
-    double precisionBits = std::numeric_limits<double>::infinity();
-    bool tripped = false;
-    std::exception_ptr err = p->batchError;
-    if (!err) {
-        try {
-            // Steps 3-5 tail, identical to the sequential path: the
-            // repack consumes the accumulators in extraction order and
-            // the output budget is computed analytically, so the
-            // result does not depend on batch shape, lane, worker
-            // count, or link faults.
-            const auto basis = ctx.basis();
-            rlwe::Ciphertext ctKq =
-                tfhe::packRlwes(p->rotated, dist_->packingKeys());
-            out = boot::finishBootstrap(std::move(ctKq), p->ms, *basis,
-                                        p->input.scale, p->input.slots);
-            out.budget = boot::bootstrapOutputBudget(
-                ctx, p->input, dist_->bootBlindRotateSigma(), *basis);
-            ctx.noiseGuardCheck(out, "bootstrap");
-            budgetBits = ctx.noiseBudgetBits(out);
-            precisionBits = ctx.noisePrecisionBits(out);
-            tripped = budgetBits <= 0
-                      || precisionBits
-                             <= ctx.noiseGuard().minPrecisionBits;
-        } catch (...) {
-            err = std::current_exception();
-        }
-    }
-
-    RequestReport rep;
-    std::shared_ptr<BootstrapTicket> ticket;
-    std::function<void(const RequestReport&, bool)> onDone;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        const double now = nowMs();
-        board_.taskFinished(Stage::Finish, startMs, now);
-        rep.id = p->id;
-        rep.totalMs = now - p->arrivalMs;
-        rep.queueMs =
-            (p->firstDispatchMs >= 0 ? p->firstDispatchMs : now)
-            - p->arrivalMs;
-        rep.batches = p->batches;
-        rep.deadlineMissed = now > p->deadlineAbsMs;
-        rep.completionSeq = ++completionSeq_;
-        rep.budgetBits = budgetBits;
-        rep.precisionBits = precisionBits;
-        if (err) {
-            ++failed_;
-        } else {
-            ++completed_;
-            latency_.record(rep.totalMs);
-            if (rep.deadlineMissed) {
-                ++deadlineMisses_;
-            }
-            minReturnedBudgetBits_ =
-                std::min(minReturnedBudgetBits_, budgetBits);
-            if (tripped) {
-                ++guardTrips_;
-            }
-        }
-        ticket = std::move(p->ticket);
-        onDone = std::move(p->opts.onDone);
-        live_.erase(p->id);
-    }
-    const bool ok = err == nullptr;
-    if (err) {
-        ticket->fail(std::move(err), rep);
-    } else {
-        ticket->fulfil(std::move(out), rep);
-    }
-    if (onDone) {
-        onDone(rep, ok);
-    }
-    doneCv_.notify_all();
-}
-
-void
-BootstrapService::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(m_);
-    for (;;) {
-        workCv_.wait(lock, [&] {
-            return haveRunnableWorkLocked()
-                   || (stopping_ && idleLocked());
-        });
-        if (stopping_ && idleLocked()) {
-            return;
-        }
-
-        // Backpressure accounting: a stage with waiting work held
-        // back only by its downstream bound, sampled once per
-        // executed loop iteration.
-        if (!paused_ && !intake_.empty()
-            && queue_.pendingRequests() >= rotateCap_) {
-            board_.backpressured(Stage::Front);
-        }
-        if (!paused_ && !queue_.empty() && !finishQ_.hasRoom()) {
-            board_.backpressured(Stage::Rotate);
-        }
-
-        // A crashed pod fails its backlog instead of computing it.
-        if (crashWorkLocked()) {
-            crashFlushLocked();
-            workCv_.notify_all();
-            continue;
-        }
-
-        // Stage precedence front > dispatch > finish keeps the
-        // pre-pipeline scheduling order on a single worker: every
-        // admitted request is ranked by the ItemQueue before batches
-        // form, and completed rotations are repacked in completion
-        // order once dispatch is gated or the queues empty out.
-        if (canFrontLocked()) {
-            // Front phase: modulus switch + extraction, off the lock.
-            double readyMs = 0;
-            const uint64_t id = intake_.pop(&readyMs);
-            Request* p = live_.at(id).get();
-            if (injectRemaining_ > 0) {
-                // Chaos fault: this request fails before any compute,
-                // with the retryable error the cluster fails over on.
-                --injectRemaining_;
-                ++injectedFailures_;
-                failRequestLocked(
-                    p, std::make_exception_ptr(PodError(
-                           "injected pod fault: request failed")));
-                workCv_.notify_all();
-                continue;
-            }
-            ++inFlight_;
-            const double startMs = nowMs();
-            board_.taskStarted(Stage::Front, startMs, readyMs);
-            lock.unlock();
-            std::exception_ptr err = runFront(p);
-            lock.lock();
-            --inFlight_;
-            board_.taskFinished(Stage::Front, startMs, nowMs());
-            if (err) {
-                failRequestLocked(p, std::move(err));
-            } else if (crashed_) {
-                // Crashed while the front phase ran: the work is lost.
-                failRequestLocked(
-                    p, std::make_exception_ptr(PodError(
-                           "bootstrap pod crashed: request lost")));
-            } else {
-                p->rotateReadyMs = nowMs();
-                queue_.addRequest(p->id, p->opts.priority,
-                                  p->deadlineAbsMs, p->lwes.size(),
-                                  p->opts.fairRank);
-                board_.enqueued(Stage::Rotate, p->lwes.size());
-            }
-            workCv_.notify_all();
-            continue;
-        }
-
-        if (canDispatchLocked()) {
-            // Batch dispatch: form the next batch for the
-            // least-loaded free lane (both decided under the lock, so
-            // the scheduler state is consistent), run the exchange
-            // off the lock.
-            const size_t lane = pickLaneLocked();
-            const double slackMs = queue_.minDeadlineAbsMs() - nowMs();
-            const size_t size = planner_.chooseBatchSize(
-                queue_.pendingItems(), slackMs);
-            PlannedBatch batch = queue_.formBatch(size);
-            HEAP_ASSERT(!batch.items.empty(), "empty batch formed");
-
-            std::vector<ItemRef> refs;
-            refs.reserve(batch.items.size());
-            const double now = nowMs();
-            double readyMs = now;
-            Request* lastReq = nullptr;
-            for (const WorkItem& w : batch.items) {
-                Request* p = live_.at(w.requestId).get();
-                refs.push_back(ItemRef{p, w.index});
-                if (p != lastReq) { // items arrive grouped per request
-                    if (p->firstDispatchMs < 0) {
-                        p->firstDispatchMs = now;
-                    }
-                    ++p->batches;
-                    readyMs = std::min(readyMs, p->rotateReadyMs);
-                    lastReq = p;
-                }
-            }
-            ++batches_;
-            occupancySum_ += batch.distinctRequests;
-            itemsSum_ += batch.items.size();
-            laneBusy_[lane] = 1;
-            laneLoadMs_[lane] +=
-                planner_.batchCostMs(batch.items.size(), lane > 0);
-            ++inFlight_;
-            board_.dequeued(Stage::Rotate, batch.items.size());
-            board_.taskStarted(Stage::Rotate, now, readyMs);
-            lock.unlock();
-            runBatch(lane, refs, now);
-            lock.lock();
-            --inFlight_;
-            laneBusy_[lane] = 0;
-            workCv_.notify_all();
-            continue;
-        }
-
-        if (!finishQ_.empty()) {
-            // Finish phase: repack + rescale + fulfil, off the lock.
-            double readyMs = 0;
-            Request* p = finishQ_.pop(&readyMs);
-            ++inFlight_;
-            const double startMs = nowMs();
-            board_.taskStarted(Stage::Finish, startMs, readyMs);
-            lock.unlock();
-            finishRequest(p, startMs);
-            lock.lock();
-            --inFlight_;
-            workCv_.notify_all();
-            continue;
-        }
-        // Lost a race to another worker; re-evaluate the predicate.
-    }
-}
-
-ServiceMetrics
-BootstrapService::metrics() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    ServiceMetrics m;
-    m.submitted = submitted_;
-    m.completed = completed_;
-    m.failed = failed_;
-    m.rejected = rejected_;
-    m.deadlineMisses = deadlineMisses_;
-    m.queueDepth = live_.size();
-    m.maxQueueDepth = maxQueueDepth_;
-    m.batches = batches_;
-    if (batches_ > 0) {
-        m.batchOccupancy = static_cast<double>(occupancySum_)
-                           / static_cast<double>(batches_);
-        m.meanBatchItems = static_cast<double>(itemsSum_)
-                           / static_cast<double>(batches_);
-    }
-    if (latency_.count() > 0) {
-        m.p50Ms = latency_.percentile(50);
-        m.p95Ms = latency_.percentile(95);
-        m.p99Ms = latency_.percentile(99);
-        m.meanMs = latency_.mean();
-    }
-    m.injectedFailures = injectedFailures_;
-    m.crashes = crashes_;
-    m.wireBytesOut = wireOut_;
-    m.wireBytesIn = wireIn_;
-    m.retransmits = retransmits_;
-    m.reclaimedBatches = reclaimed_;
-    m.minReturnedBudgetBits = minReturnedBudgetBits_;
-    m.guardTrips = guardTrips_;
-    m.pipeline = board_.snapshot();
-    return m;
+    const auto basis = ctx.basis();
+    rlwe::Ciphertext ctKq = tfhe::packRlwes(p.rotated, dist_->packingKeys());
+    ckks::Ciphertext out = boot::finishBootstrap(
+        std::move(ctKq), p.ms, *basis, p.input.scale, p.input.slots);
+    out.budget = boot::bootstrapOutputBudget(
+        ctx, p.input, dist_->bootBlindRotateSigma(), *basis);
+    ctx.noiseGuardCheck(out, "bootstrap");
+    const double budgetBits = ctx.noiseBudgetBits(out);
+    const double precisionBits = ctx.noisePrecisionBits(out);
+    p.result = std::move(out);
+    p.budgetBits = budgetBits;
+    p.precisionBits = precisionBits;
+    p.guardTripped = budgetBits <= 0
+                     || precisionBits <= ctx.noiseGuard().minPrecisionBits;
 }
 
 } // namespace heap::serve

@@ -11,16 +11,11 @@
  * DistributedBootstrapper's link protocol — so a straggler request no
  * longer leaves secondaries idle between per-request bootstraps.
  *
- * Execution is a three-stage pipeline (serve/pipeline.h): front
- * (modswitch + extract), rotate (batch dispatch across the
- * primary-local lane and one lane per secondary link), and finish
- * (repack + rescale + fulfil), connected by bounded stage queues and
- * driven by the shared worker pool — so the repack of batch i
- * overlaps the rotation of batch i+1. Backpressure is applied at
- * stage entry: a worker does not start front work while the rotate
- * pool is at its request bound, and does not dispatch a batch while
- * the finish queue is full. The finish stage is never gated, which
- * guarantees forward progress.
+ * It is the bootstrap workload on the shared pod skeleton
+ * (serve/pod.h): front = modswitch + extract, rotate = batch dispatch
+ * across the primary-local lane and one lane per secondary link,
+ * finish = repack + rescale + fulfil. The pod owns admission, the
+ * stage queues and backpressure, batching, faults and metrics.
  *
  * Guarantees:
  *  - Determinism: each returned ciphertext is byte-identical to what
@@ -44,254 +39,62 @@
 #define HEAP_SERVE_SERVICE_H
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "boot/distributed.h"
-#include "serve/metrics.h"
-#include "serve/pipeline.h"
-#include "serve/request.h"
-#include "serve/scheduler.h"
+#include "serve/pod.h"
 
 namespace heap::serve {
-
-/** Service construction knobs. */
-struct ServiceConfig {
-    /** Dispatch worker threads (front phases, batch exchanges, and
-     *  finish phases all run on these). */
-    size_t workers = 1;
-    /** Admission cap: live requests (queued + running) beyond this
-     *  are rejected at submit(). Bounds service memory. */
-    size_t maxQueuedRequests = 64;
-    /** Batch size cap in LWE items; 0 = the ring dimension N (the
-     *  largest batch a SecondaryNode accepts). */
-    size_t maxBatchItems = 0;
-    /** Batches a pending request may be skipped by before it jumps
-     *  the priority order (starvation protection). */
-    size_t starvationPasses = 8;
-    /** Modeled fixed cost per dispatched batch (batch sizing). */
-    double dispatchOverheadMs = 0.05;
-    /** Optional accelerator cost model driving batch sizing and lane
-     *  assignment; not owned, may be nullptr (fixed-size batches). */
-    const hw::BootstrapModel* costModel = nullptr;
-    /** Rotate-stage bound, counted in requests with undispatched
-     *  items: front work is gated while the pool is at the bound.
-     *  0 = max(8, 2 * workers). */
-    size_t rotateQueueRequests = 0;
-    /** Finish-stage queue bound, counted in requests awaiting repack:
-     *  batch dispatch is gated while the queue is full.
-     *  0 = max(2, workers). */
-    size_t finishQueueRequests = 0;
-};
 
 /**
  * Asynchronous, continuously-batched bootstrap server on top of a
  * DistributedBootstrapper. The service logically owns the
  * bootstrapper's link protocol while alive: do not call
  * dist.bootstrap() or mutate its faults/retry policy concurrently
- * with a running service.
+ * with a running service. Lifecycle, faults and metrics are the
+ * pod's (serve/pod.h).
  */
-class BootstrapService {
+class BootstrapService : public Pod {
   public:
     BootstrapService(boot::DistributedBootstrapper& dist,
                      ServiceConfig cfg = {});
 
     /** Drains accepted work, then joins the workers (shutdown()). */
-    ~BootstrapService();
-
-    BootstrapService(const BootstrapService&) = delete;
-    BootstrapService& operator=(const BootstrapService&) = delete;
+    ~BootstrapService() override;
 
     /**
      * Submits one bootstrap request. Throws UserError immediately
-     * when the input is not level-1, when the service is shutting
-     * down or crashed, or when admission control is at capacity
-     * (backpressure — the rejection is counted, nothing is queued).
-     * Otherwise returns the ticket the caller blocks on for the
-     * refreshed ciphertext.
-     *
-     * `ticket`, when non-null, is fulfilled instead of a fresh one —
-     * the cluster layer creates the ticket first so its completion
-     * hook can capture it (per-attempt result extraction for
-     * failover) without racing the pod's workers.
+     * when the input is malformed (validate()), when the service is
+     * shutting down or crashed, or when admission control is at
+     * capacity (backpressure — the rejection is counted, nothing is
+     * queued). Otherwise returns the ticket the caller blocks on for
+     * the refreshed ciphertext; `ticket`, when non-null, is fulfilled
+     * instead of a fresh one.
      */
     std::shared_ptr<BootstrapTicket>
     submit(const ckks::Ciphertext& in, SubmitOptions opts = {},
            std::shared_ptr<BootstrapTicket> ticket = nullptr);
 
-    /**
-     * Stops forming batches and front phases (intake still accepts up
-     * to capacity). For tests and maintenance windows; resume() picks
-     * the backlog up again. Also the chaos harness's "wedge" fault:
-     * a paused pod holds accepted requests without failing them.
-     */
-    void pause();
-    void resume();
+    /** Throws UserError unless `in` is a level-1 ciphertext of this
+     *  pod's context (same RNS basis, both components). */
+    void validate(const ckks::Ciphertext& in) const;
 
-    /**
-     * Crash the pod (chaos harness): every live request — queued,
-     * rotating, or awaiting repack — fails with a retryable PodError,
-     * and submit() rejects until recover(). In-flight batch compute
-     * finishes (workers are never interrupted mid-kernel) but its
-     * requests still fail: crash semantics are "in-flight work is
-     * lost", and the cluster's failover recomputes it elsewhere,
-     * byte-identically, because every replica is identically keyed.
-     */
-    void crash();
+    /** A request for `in` that settles `ticket`, for submitRequest()
+     *  (the cluster's per-attempt path). */
+    static std::unique_ptr<PodRequest>
+    request(const ckks::Ciphertext& in,
+            std::shared_ptr<BootstrapTicket> ticket);
 
-    /** Leave the crashed state: intake accepts again. */
-    void recover();
-
-    /** Whether the pod is currently crashed (cheap routing probe). */
-    bool
-    crashed() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return crashed_;
-    }
-
-    /**
-     * Chaos harness: fail the next `n` requests that reach the front
-     * stage with a retryable PodError (counted in metrics). Injected
-     * failures stack; they survive pause/resume.
-     */
-    void injectFailures(uint64_t n);
-
-    /** Blocks until every accepted request has completed. Must not be
-     *  called while paused. */
-    void drain();
-
-    /**
-     * Stops intake (further submits are rejected), completes every
-     * accepted request — including in-flight batches — and joins the
-     * workers. Idempotent.
-     */
-    void shutdown();
-
-    /** Point-in-time service metrics snapshot. */
-    ServiceMetrics metrics() const;
-
-    /** Dispatch lanes: 1 local (primary) + one per secondary. */
-    size_t lanes() const { return laneLoadMs_.size(); }
-
-    /** Live requests (queued + running) — the admission-control
-     *  occupancy. Cheaper than metrics() for routing decisions. */
-    size_t
-    liveRequests() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return live_.size();
-    }
-
-    /** The effective construction config (immutable after start). */
-    const ServiceConfig& config() const { return cfg_; }
+  protected:
+    void admit(const PodRequest& req) const override;
+    size_t front(PodRequest& req) override;
+    BatchTraffic runBatch(size_t lane,
+                          const std::vector<ItemRef>& items) override;
+    void finish(PodRequest& req) override;
 
   private:
-    /** Server-side state of one accepted request. */
-    struct Request {
-        uint64_t id = 0;
-        std::shared_ptr<BootstrapTicket> ticket;
-        ckks::Ciphertext input;
-        SubmitOptions opts;
-        double arrivalMs = 0;
-        double deadlineAbsMs = 0; ///< infinity when none
-        double firstDispatchMs = -1;
-        /** When the front phase finished and the request's items
-         *  became rotate-ready (feeds rotate stall accounting). */
-        double rotateReadyMs = 0;
-        boot::ModSwitched ms;
-        std::vector<lwe::LweCiphertext> lwes; ///< extracted items
-        std::vector<rlwe::Ciphertext> rotated;
-        size_t remaining = 0; ///< accumulators still outstanding
-        size_t batches = 0;
-        /** First failure of a batch carrying this request's items;
-         *  the ticket fails with it once every item settles. */
-        std::exception_ptr batchError;
-    };
-
-    /** (request, item) reference resolved while the lock is held. */
-    struct ItemRef {
-        Request* req = nullptr;
-        size_t index = 0;
-    };
-
-    void workerLoop();
-    /** Pure compute: Extract front half. Returns nullptr on success. */
-    std::exception_ptr runFront(Request* p) const;
-    /** Dispatches one batch on `lane`, scatters the results, and
-     *  queues requests whose last item settled for the finish stage.
-     *  `dispatchMs` is the stage-task start; the rotate accounting
-     *  runs under the lock BEFORE the finish handoff so a metrics()
-     *  after the last ticket settles always counts the batch. */
-    void runBatch(size_t lane, const std::vector<ItemRef>& refs,
-                  double dispatchMs);
-    /** Finish stage: repack + rescale + fulfil one request.
-     *  `startMs` is the stage-task start (its finish accounting runs
-     *  under the lock BEFORE the ticket settles, so a metrics() after
-     *  ticket.wait() always sees the task counted). */
-    void finishRequest(Request* p, double startMs);
-    void failRequestLocked(Request* p, std::exception_ptr err);
-    /** Free lane with the least cumulative modeled load; lanes()
-     *  when every lane is busy. */
-    size_t pickLaneLocked() const;
-    double nowMs() const;
-    /** Stage-entry gates: each requires waiting work AND room in the
-     *  downstream stage queue (backpressure). */
-    bool canFrontLocked() const;
-    bool canDispatchLocked() const;
-    bool haveRunnableWorkLocked() const;
-    bool idleLocked() const;
-    /** Crashed with flushable queued work pending. */
-    bool crashWorkLocked() const;
-    /** Crash drain: fails everything queued (intake, rotate pool,
-     *  finish queue) with a PodError. Called with the lock held. */
-    void crashFlushLocked();
-
     boot::DistributedBootstrapper* dist_;
-    ServiceConfig cfg_;
-    BatchPlanner planner_;
-    ItemQueue queue_;
-
-    mutable std::mutex m_;
-    std::condition_variable workCv_;
-    std::condition_variable doneCv_;
-    std::vector<std::thread> workers_;
-    PipelineBoard board_; ///< declared before the queues feeding it
-    /** Admitted, front phase pending (bounded by admission control). */
-    StageQueue<uint64_t> intake_{Stage::Front, &board_};
-    /** Fully rotated, repack pending. */
-    StageQueue<Request*> finishQ_{Stage::Finish, &board_};
-    size_t rotateCap_ = 0; ///< rotate pool bound, in requests
-    std::unordered_map<uint64_t, std::unique_ptr<Request>> live_;
-    std::vector<uint8_t> laneBusy_;
-    std::vector<double> laneLoadMs_; ///< cumulative modeled work
-    bool paused_ = false;
-    bool crashed_ = false;
-    bool stopping_ = false;
-    bool joined_ = false;
-    uint64_t injectRemaining_ = 0; ///< front-stage failures pending
-    size_t inFlight_ = 0; ///< front phases + batches being computed
-    uint64_t nextId_ = 1;
     std::atomic<uint64_t> seq_{1}; ///< framing sequence numbers
-
-    // Metrics (guarded by m_).
-    std::chrono::steady_clock::time_point epoch_;
-    uint64_t submitted_ = 0, completed_ = 0, failed_ = 0,
-             rejected_ = 0, deadlineMisses_ = 0, completionSeq_ = 0;
-    size_t maxQueueDepth_ = 0;
-    uint64_t batches_ = 0, occupancySum_ = 0, itemsSum_ = 0;
-    uint64_t wireOut_ = 0, wireIn_ = 0, retransmits_ = 0,
-             reclaimed_ = 0;
-    uint64_t injectedFailures_ = 0, crashes_ = 0;
-    LatencyReservoir latency_;
-    double minReturnedBudgetBits_ =
-        std::numeric_limits<double>::infinity();
-    uint64_t guardTrips_ = 0;
 };
 
 } // namespace heap::serve

@@ -16,6 +16,7 @@
 
 #include "ckks/evaluator.h"
 #include "hw/bootstrap_model.h"
+#include "math/primes.h"
 #include "serve/cluster.h"
 
 namespace heap::serve {
@@ -373,51 +374,127 @@ TEST(Chaos, ScriptedScheduleIsSeedDeterministic)
 // ---------------------------------------------------------------------
 // Pod-level crash / recover and fault injection.
 
-TEST(ServiceChaos, CrashFailsLiveWorkAndRejectsUntilRecover)
-{
-    auto pods = makePods(7, 1, 1);
-    ServiceConfig cfg;
-    cfg.workers = 2;
-    BootstrapService svc(*pods.dists[0], cfg);
+// The pod fault alphabet is one implementation for every workload,
+// so its tests run on a bootstrap pod and on a PIR pod alike. A rig
+// builds a pod of its workload and its r-th request.
 
-    svc.pause(); // hold the requests so the crash provably hits them
-    std::vector<std::shared_ptr<BootstrapTicket>> tickets;
-    for (size_t r = 0; r < 3; ++r) {
-        tickets.push_back(
-            svc.submit(makeInput(*pods.ctx, *pods.ev, r)));
+struct BootstrapRig {
+    PodSet pods = makePods(7, 1, 1);
+
+    std::unique_ptr<BootstrapService>
+    service(size_t workers)
+    {
+        ServiceConfig cfg;
+        cfg.workers = workers;
+        return std::make_unique<BootstrapService>(*pods.dists[0], cfg);
     }
-    svc.crash();
+
+    ckks::Ciphertext
+    input(size_t r)
+    {
+        return makeInput(*pods.ctx, *pods.ev, r);
+    }
+};
+
+struct PirRig {
+    pir::PirParams params;
+    std::unique_ptr<pir::PirServer> server;
+    std::vector<std::shared_ptr<const pir::PirQuery>> queries;
+
+    PirRig()
+    {
+        const size_t n = 64;
+        params.basis = std::make_shared<math::RnsBasis>(
+            n, math::generateNttPrimes(30, n, 2));
+        params.limbs = 2;
+        params.dims = {8, 8};
+        params.entries = 64;
+        params.gadget =
+            rlwe::GadgetParams{.baseBits = 5, .digitsPerLimb = 6};
+        Rng rng(7);
+        const auto sk = rlwe::SecretKey::sampleTernary(params.basis, rng);
+        server = std::make_unique<pir::PirServer>(
+            params, pir::randomDatabase(params, 7));
+        const pir::PirClient client(params, sk);
+        for (size_t r = 0; r < 10; ++r) {
+            queries.push_back(std::make_shared<const pir::PirQuery>(
+                client.makeQuery(r * 7 % params.entries, rng)));
+        }
+    }
+
+    std::unique_ptr<PirService>
+    service(size_t workers)
+    {
+        return std::make_unique<PirService>(
+            *server, PirServiceConfig{.workers = workers});
+    }
+
+    std::shared_ptr<const pir::PirQuery>
+    input(size_t r)
+    {
+        return queries.at(r);
+    }
+};
+
+template <typename Rig>
+void
+crashFailsLiveWorkAndRejectsUntilRecover(Rig& rig)
+{
+    auto svc = rig.service(2);
+
+    svc->pause(); // hold the requests so the crash provably hits them
+    std::vector<decltype(svc->submit(rig.input(0)))> tickets;
+    for (size_t r = 0; r < 3; ++r) {
+        tickets.push_back(svc->submit(rig.input(r)));
+    }
+    svc->crash();
     for (auto& t : tickets) {
         EXPECT_THROW(t->wait(), PodError);
     }
     // Intake rejects while crashed.
-    EXPECT_THROW(svc.submit(makeInput(*pods.ctx, *pods.ev, 9)),
-                 UserError);
-    svc.recover();
-    svc.resume();
-    auto ok = svc.submit(makeInput(*pods.ctx, *pods.ev, 4));
+    EXPECT_THROW(svc->submit(rig.input(9)), UserError);
+    svc->recover();
+    svc->resume();
+    auto ok = svc->submit(rig.input(4));
     EXPECT_NO_THROW(ok->wait());
-    const ServiceMetrics m = svc.metrics();
+    const ServiceMetrics m = svc->metrics();
     EXPECT_EQ(m.crashes, 1u);
     EXPECT_EQ(m.failed, 3u);
     EXPECT_EQ(m.completed, 1u);
 }
 
-TEST(ServiceChaos, InjectedFailuresHitTheNextRequests)
+TEST(ServiceChaos, CrashFailsLiveWorkAndRejectsUntilRecover)
 {
-    auto pods = makePods(7, 1, 1);
-    BootstrapService svc(*pods.dists[0], {});
-    svc.injectFailures(2);
-    auto t1 = svc.submit(makeInput(*pods.ctx, *pods.ev, 0));
-    auto t2 = svc.submit(makeInput(*pods.ctx, *pods.ev, 1));
-    auto t3 = svc.submit(makeInput(*pods.ctx, *pods.ev, 2));
+    BootstrapRig boot;
+    crashFailsLiveWorkAndRejectsUntilRecover(boot);
+    PirRig lookup;
+    crashFailsLiveWorkAndRejectsUntilRecover(lookup);
+}
+
+template <typename Rig>
+void
+injectedFailuresHitTheNextRequests(Rig& rig)
+{
+    auto svc = rig.service(1);
+    svc->injectFailures(2);
+    auto t1 = svc->submit(rig.input(0));
+    auto t2 = svc->submit(rig.input(1));
+    auto t3 = svc->submit(rig.input(2));
     EXPECT_THROW(t1->wait(), PodError);
     EXPECT_THROW(t2->wait(), PodError);
     EXPECT_NO_THROW(t3->wait());
-    const ServiceMetrics m = svc.metrics();
+    const ServiceMetrics m = svc->metrics();
     EXPECT_EQ(m.injectedFailures, 2u);
     EXPECT_EQ(m.failed, 2u);
     EXPECT_EQ(m.completed, 1u);
+}
+
+TEST(ServiceChaos, InjectedFailuresHitTheNextRequests)
+{
+    BootstrapRig boot;
+    injectedFailuresHitTheNextRequests(boot);
+    PirRig lookup;
+    injectedFailuresHitTheNextRequests(lookup);
 }
 
 // Regression: wait() used to dereference a moved-out optional on the

@@ -261,6 +261,41 @@ TEST(Cluster, RejectsWhenEveryPodIsFull)
     EXPECT_GT(t1->wait().slots, 0u);
 }
 
+TEST(Cluster, MalformedInputsAreUserErrorsNotCapacityOrPodFaults)
+{
+    auto pods = makePods(21, 2, 1);
+    TenantRegistry reg;
+    reg.registerTenant({.id = 9});
+    ServiceCluster cluster(distPtrs(pods), reg);
+
+    // A top-level (not level-1) input to an idle cluster: the user's
+    // mistake, not "every pod full".
+    const std::vector<double> v(16, 0.25);
+    EXPECT_THROW(
+        cluster.submit(9, pods.ctx->encrypt(std::span<const double>(v))),
+        UserError);
+    EXPECT_EQ(cluster.metrics().rejectedCapacity, 0u);
+
+    // A level-1 input of another context, eight times: rejected at
+    // the door, so no pod fails it and no breaker counts it.
+    ckks::Context other(serveParams(), 21);
+    ckks::Evaluator otherEv(other);
+    const auto foreign = makeInputs(other, otherEv, 1);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_THROW(cluster.submit(9, foreign[0]), UserError);
+    }
+    const ClusterMetrics m = cluster.metrics();
+    EXPECT_EQ(m.rejectedCapacity, 0u);
+    EXPECT_EQ(m.submitted, 0u);
+    EXPECT_EQ(m.failed, 0u);
+    EXPECT_EQ(cluster.breakerStats(cluster.preferredPod(9)).failures, 0u);
+    EXPECT_EQ(reg.stats(9).submitted, 0u);
+
+    // The cluster still serves well-formed input.
+    const auto inputs = makeInputs(*pods.ctx, *pods.ev, 1);
+    EXPECT_GT(cluster.submit(9, inputs[0])->wait().slots, 0u);
+}
+
 TEST(Cluster, ByteIdenticalToSinglePodPath)
 {
     // The determinism guarantee at cluster scale: wherever routing

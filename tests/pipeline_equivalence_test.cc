@@ -10,7 +10,8 @@
  * strictly sequential with one. Plus the drain/shutdown regressions:
  * requests resident in intermediate stage queues at drain or
  * shutdown time must complete — minimum queue bounds force the
- * backpressure paths and must never deadlock.
+ * backpressure paths and must never deadlock. The drain/shutdown
+ * cases also run on a PIR pod: both workloads share one pod skeleton.
  */
 
 #include <algorithm>
@@ -23,6 +24,8 @@
 
 #include "ckks/evaluator.h"
 #include "ckks/serialize.h"
+#include "math/primes.h"
+#include "serve/pir_service.h"
 #include "serve/service.h"
 
 namespace heap::serve {
@@ -275,6 +278,71 @@ tightConfig(size_t workers, size_t count)
     return cfg;
 }
 
+/** A PIR pod's world: server, client, and `count` queries. */
+struct PirRig {
+    pir::PirParams params;
+    std::vector<std::vector<int64_t>> db;
+    std::unique_ptr<pir::PirServer> server;
+    std::unique_ptr<rlwe::SecretKey> sk;
+    std::unique_ptr<pir::PirClient> client;
+    std::vector<size_t> indices;
+    std::vector<std::shared_ptr<const pir::PirQuery>> queries;
+
+    PirRig(uint64_t seed, size_t count)
+    {
+        const size_t n = 64;
+        params.basis = std::make_shared<math::RnsBasis>(
+            n, math::generateNttPrimes(30, n, 2));
+        params.limbs = 2;
+        params.dims = {8, 8};
+        params.entries = 64;
+        params.gadget =
+            rlwe::GadgetParams{.baseBits = 5, .digitsPerLimb = 6};
+        Rng rng(seed);
+        sk = std::make_unique<rlwe::SecretKey>(
+            rlwe::SecretKey::sampleTernary(params.basis, rng));
+        db = pir::randomDatabase(params, seed);
+        server = std::make_unique<pir::PirServer>(params, db);
+        client = std::make_unique<pir::PirClient>(params, *sk);
+        for (size_t r = 0; r < count; ++r) {
+            indices.push_back((r * 13 + 5) % params.entries);
+            queries.push_back(std::make_shared<const pir::PirQuery>(
+                client->makeQuery(indices.back(), rng)));
+        }
+    }
+
+    /** Every ticket settled with the exact entry. */
+    void
+    expectExact(const std::vector<std::shared_ptr<PirTicket>>& tickets)
+        const
+    {
+        for (size_t r = 0; r < tickets.size(); ++r) {
+            ASSERT_TRUE(tickets[r]->ready()) << "lookup " << r;
+            EXPECT_EQ(client->decode(tickets[r]->wait()),
+                      db[indices[r]])
+                << "lookup " << r;
+        }
+    }
+};
+
+/** Stage conservation of a drained PIR pod. */
+void
+checkPirStages(const ServiceMetrics& m, size_t count, size_t groups)
+{
+    const PipelineMetrics& pm = m.pipeline;
+    EXPECT_EQ(m.completed, count);
+    EXPECT_EQ(m.failed, 0u);
+    for (const Stage s : {Stage::Front, Stage::Finish}) {
+        EXPECT_EQ(pm.stage(s).entered, count) << stageName(s);
+        EXPECT_EQ(pm.stage(s).tasks, count) << stageName(s);
+    }
+    EXPECT_EQ(pm.stage(Stage::Rotate).entered, count * groups);
+    EXPECT_EQ(pm.stage(Stage::Rotate).tasks, m.batches);
+    for (const StageMetrics& st : pm.stages) {
+        EXPECT_EQ(st.queueDepth, 0u) << st.name;
+    }
+}
+
 TEST(PipelineDrain, DrainCompletesWithItemsResidentInStageQueues)
 {
     ckks::Context ctx(pipelineParams(), 42);
@@ -302,6 +370,24 @@ TEST(PipelineDrain, DrainCompletesWithItemsResidentInStageQueues)
     checkPipelineAccounting(PipelineRun{{}, m}, 4, 2, "drain");
     // The tight bounds were actually exercised.
     EXPECT_GT(m.pipeline.stage(Stage::Front).backpressured, 0u);
+
+    // The PIR pod: a paused backlog, small batches straddling
+    // queries, and a drain that must see every finish through.
+    const PirRig rig(42, 4);
+    PirService pirSvc(*rig.server, PirServiceConfig{
+                                       .workers = 2,
+                                       .maxQueuedRequests = 4,
+                                       .maxBatchItems = 3,
+                                   });
+    pirSvc.pause();
+    std::vector<std::shared_ptr<PirTicket>> lookups;
+    for (const auto& q : rig.queries) {
+        lookups.push_back(pirSvc.submit(q));
+    }
+    pirSvc.resume();
+    pirSvc.drain();
+    rig.expectExact(lookups);
+    checkPirStages(pirSvc.metrics(), 4, rig.server->firstDimGroups());
 }
 
 TEST(PipelineDrain, ShutdownWhileStagesHoldWork)
@@ -327,6 +413,17 @@ TEST(PipelineDrain, ShutdownWhileStagesHoldWork)
     EXPECT_EQ(svc.metrics().completed, 3u);
     EXPECT_EQ(svc.metrics().pipeline.stage(Stage::Finish).queueDepth,
               0u);
+
+    // The PIR pod, shut down with its backlog mid-pipeline.
+    const PirRig rig(7, 3);
+    std::vector<std::shared_ptr<PirTicket>> lookups;
+    PirService pirSvc(*rig.server, PirServiceConfig{.workers = 1});
+    for (const auto& q : rig.queries) {
+        lookups.push_back(pirSvc.submit(q));
+    }
+    pirSvc.shutdown();
+    rig.expectExact(lookups);
+    checkPirStages(pirSvc.metrics(), 3, rig.server->firstDimGroups());
 }
 
 TEST(PipelineDrain, DestructorDrainsBackloggedStageQueues)
@@ -351,6 +448,22 @@ TEST(PipelineDrain, DestructorDrainsBackloggedStageQueues)
         EXPECT_TRUE(t->ready());
         EXPECT_GT(t->wait().slots, 0u);
     }
+
+    // The PIR pod, destroyed while its stage queues hold queries.
+    const PirRig rig(21, 4);
+    std::vector<std::shared_ptr<PirTicket>> lookups;
+    {
+        PirService pirSvc(*rig.server, PirServiceConfig{
+                                           .workers = 2,
+                                           .maxBatchItems = 5,
+                                       });
+        pirSvc.pause();
+        for (const auto& q : rig.queries) {
+            lookups.push_back(pirSvc.submit(q));
+        }
+        pirSvc.resume();
+    }
+    rig.expectExact(lookups);
 }
 
 } // namespace

@@ -231,6 +231,38 @@ TEST(PirService, RejectsMalformedQueriesAndBackpressure)
     EXPECT_EQ(w.client->decode(t0->wait()), w.db[3]);
 }
 
+TEST(PirService, MalformedQueryNeverFailsItsBatchmates)
+{
+    const PirWorld w = makePirWorld(42);
+    const auto queries = makeQueries(w, 42, {6, 33});
+    // A query whose first RGSW bit carries only one limb's gadget
+    // rows: shaped right by dimension and bit counts, but it would
+    // fail the external product of any batch it rode in.
+    pir::PirQuery cut = *queries[0];
+    const rlwe::GadgetCiphertext& half = cut.dimBits[0][0].forB;
+    const size_t d = static_cast<size_t>(half.params().digitsPerLimb);
+    std::vector<rlwe::Ciphertext> rows;
+    for (size_t j = 0; j < d; ++j) {
+        rows.push_back(half.row(0, j));
+    }
+    cut.dimBits[0][0].forB =
+        rlwe::GadgetCiphertext(std::move(rows), half.params());
+
+    PirService svc(*w.server, PirServiceConfig{.workers = 1});
+    svc.pause(); // one batch would carry all three
+    auto t0 = svc.submit(queries[0]);
+    EXPECT_THROW(svc.submit(std::make_shared<const pir::PirQuery>(cut)),
+                 UserError);
+    auto t1 = svc.submit(queries[1]);
+    svc.resume();
+    EXPECT_EQ(w.client->decode(t0->wait()), w.db[6]);
+    EXPECT_EQ(w.client->decode(t1->wait()), w.db[33]);
+    const ServiceMetrics m = svc.metrics();
+    EXPECT_EQ(m.completed, 2u);
+    EXPECT_EQ(m.failed, 0u);
+    EXPECT_EQ(m.submitted, 2u);
+}
+
 TEST(PirService, FaultAlphabetMatchesBootstrapSemantics)
 {
     const PirWorld w = makePirWorld(21);

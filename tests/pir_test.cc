@@ -176,6 +176,80 @@ TEST(PirQueryValidation, MismatchedQueryRejected)
     EXPECT_THROW(client.makeQuery(p.entries, rng), UserError);
 }
 
+TEST(PirQueryValidation, MalformedRgswRowsRejected)
+{
+    const pir::PirParams p = smallParams({8, 8}, 64);
+    Rng rng(21);
+    const auto sk = rlwe::SecretKey::sampleTernary(p.basis, rng);
+    const pir::PirServer server(p, pir::randomDatabase(p, 21));
+    const pir::PirClient client(p, sk);
+    const pir::PirQuery good = client.makeQuery(5, rng);
+    EXPECT_NO_THROW(server.validateQuery(good));
+    const size_t d = static_cast<size_t>(p.gadget.digitsPerLimb);
+
+    // Rows of one gadget half, optionally edited.
+    const auto rowsOf = [&](const rlwe::GadgetCiphertext& half) {
+        std::vector<rlwe::Ciphertext> rows;
+        for (size_t r = 0; r < half.rowCount(); ++r) {
+            rows.push_back(half.row(r / d, r % d));
+        }
+        return rows;
+    };
+    const auto expectRejected = [&](auto edit, const char* what) {
+        pir::PirQuery q = good;
+        edit(q.dimBits[0][0]);
+        EXPECT_THROW(server.validateQuery(q), UserError) << what;
+        EXPECT_THROW(server.answer(q), UserError) << what;
+    };
+
+    expectRejected(
+        [&](rlwe::RgswCiphertext& bit) {
+            auto rows = rowsOf(bit.forB);
+            rows.resize(d); // one limb's rows
+            bit.forB = rlwe::GadgetCiphertext(rows, p.gadget);
+        },
+        "too few rows");
+    expectRejected(
+        [&](rlwe::RgswCiphertext& bit) {
+            auto rows = rowsOf(bit.forA);
+            rows.push_back(rows.back());
+            bit.forA = rlwe::GadgetCiphertext(rows, p.gadget);
+        },
+        "too many rows");
+    expectRejected(
+        [&](rlwe::RgswCiphertext& bit) {
+            rlwe::GadgetParams g = p.gadget;
+            g.baseBits += 1;
+            bit.forB = rlwe::GadgetCiphertext(rowsOf(bit.forB), g);
+        },
+        "foreign gadget");
+    expectRejected(
+        [&](rlwe::RgswCiphertext& bit) {
+            auto rows = rowsOf(bit.forB);
+            rows[1].a.toCoeff();
+            bit.forB = rlwe::GadgetCiphertext(rows, p.gadget);
+        },
+        "Coeff-domain row");
+    expectRejected(
+        [&](rlwe::RgswCiphertext& bit) {
+            auto rows = rowsOf(bit.forA);
+            rows[0].b = rows[0].b.restrictedTo(1);
+            bit.forA = rlwe::GadgetCiphertext(rows, p.gadget);
+        },
+        "truncated row");
+    // Same primes, another basis object: a query for another ring.
+    const auto foreign = std::make_shared<math::RnsBasis>(
+        p.basis->n(), math::generateNttPrimes(30, p.basis->n(), 2));
+    expectRejected(
+        [&](rlwe::RgswCiphertext& bit) {
+            auto rows = rowsOf(bit.forB);
+            rows[2].a = math::RnsPoly(foreign, foreign->size(),
+                                      math::Domain::Eval);
+            bit.forB = rlwe::GadgetCiphertext(rows, p.gadget);
+        },
+        "foreign basis");
+}
+
 TEST(PirDatabase, RandomDatabaseDeterministic)
 {
     const pir::PirParams p = smallParams({8, 8}, 64);

@@ -468,6 +468,27 @@ TEST_F(ServeFixture, SubmitValidatesLevelSynchronously)
     EXPECT_THROW(svc.submit(ct), UserError);
 }
 
+TEST_F(ServeFixture, SubmitRejectsInputsOfAnotherContext)
+{
+    ckks::Context ctx(serveParams(), 7);
+    ckks::Evaluator ev(ctx);
+    boot::DistributedBootstrapper dist(ctx, 1, kBrGadget);
+    // Same parameters and seed, another context: a level-1 input of
+    // the right shape whose basis the pod's keys do not share.
+    ckks::Context other(serveParams(), 7);
+    ckks::Evaluator otherEv(other);
+    const auto foreign = makeInputs(other, otherEv, 1);
+    const auto inputs = makeInputs(ctx, ev, 1);
+
+    BootstrapService svc(dist, {.workers = 1});
+    EXPECT_THROW(svc.submit(foreign[0]), UserError);
+    EXPECT_GT(svc.submit(inputs[0])->wait().slots, 0u);
+    const ServiceMetrics m = svc.metrics();
+    EXPECT_EQ(m.submitted, 1u);
+    EXPECT_EQ(m.completed, 1u);
+    EXPECT_EQ(m.failed, 0u);
+}
+
 TEST_F(ServeFixture, PriorityOrdersCompletionUnderSingleWorker)
 {
     ckks::Context ctx(serveParams(), 21);

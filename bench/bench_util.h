@@ -9,12 +9,10 @@
 #ifndef HEAP_BENCH_BENCH_UTIL_H
 #define HEAP_BENCH_BENCH_UTIL_H
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 
 #include "common/table.h"
-#include "serve/metrics.h"
 
 namespace heap::bench {
 
@@ -30,32 +28,6 @@ withPaper(double model, double paper, int precision = 3)
 {
     return Table::num(model, precision) + " (paper "
            + Table::num(paper, precision) + ")";
-}
-
-/** Latency distribution snapshot extracted from a reservoir. */
-struct LatencySummary {
-    double p50Ms = 0;
-    double p95Ms = 0;
-    double p99Ms = 0;
-    double meanMs = 0;
-};
-
-/** Percentile/mean summary of recorded latencies (NaNs when empty). */
-inline LatencySummary
-summarizeLatency(const serve::LatencyReservoir& r)
-{
-    return LatencySummary{r.percentile(50), r.percentile(95),
-                          r.percentile(99), r.mean()};
-}
-
-/** "p50 a / p95 b / p99 c / mean d ms" cell. */
-inline std::string
-latencyCell(const LatencySummary& s, int precision = 2)
-{
-    return "p50 " + Table::num(s.p50Ms, precision) + " / p95 "
-           + Table::num(s.p95Ms, precision) + " / p99 "
-           + Table::num(s.p99Ms, precision) + " / mean "
-           + Table::num(s.meanMs, precision) + " ms";
 }
 
 } // namespace heap::bench

@@ -51,7 +51,7 @@
  * Chaos (opt-in): a deterministic ChaosSpec (serve/chaos.h) fires
  * pod-level faults — injected failures, wedges, crash/recover — as
  * the cluster's submission counter advances, which is what the
- * availability tests and bench/chaos_recovery drive. Faults hit every
+ * availability tests (`ctest -L chaos`) drive. Faults hit every
  * tenant class's pod at the targeted index.
  *
  * Second tenant class (opt-in): with ClusterConfig::pirServer set,

@@ -6,8 +6,8 @@
  * percentiles, rejection / deadline accounting, and the
  * noise-budget health of returned ciphertexts).
  *
- * Header-only so the bench layer (bench/bench_util.h) can reuse the
- * percentile math without linking the serving runtime.
+ * Header-only: plain data plus the reservoir's percentile math, which
+ * the serving tests exercise directly.
  */
 
 #ifndef HEAP_SERVE_METRICS_H

@@ -3,13 +3,15 @@
  * ServiceCluster tests: consistent routing determinism (same tenant
  * -> same pod absent spill), least-loaded spill when the preferred
  * pod is full, quota and cluster-capacity rejection accounting,
- * per-pod key-cache affinity, and byte-identity of cluster-served
- * bootstraps against the single-pod sequential path for seeds
- * {7, 21, 42}.
+ * per-pod key-cache affinity (exactly, and as a high hit rate under a
+ * Zipf tenant mix), and byte-identity of cluster-served bootstraps
+ * against the single-pod sequential path for seeds {7, 21, 42}.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -391,6 +393,84 @@ TEST(Cluster, ClusterSmoke)
     for (const double load : m.podModeledLoadMs) {
         EXPECT_NEAR(load, 0.0, 1e-9);
     }
+}
+
+TEST(Cluster, ZipfTenantMixKeepsPodKeyCachesHot)
+{
+    // The serving-scale key-residency claim at cluster level: Zipf
+    // tenant popularity plus consistent routing keeps each tenant's
+    // keys hot on one pod, so the cluster-wide hit rate stays high
+    // even though the caches hold a third of the tenants' key sets.
+    constexpr size_t kPods = 3;
+    constexpr size_t kTenants = 24;
+    constexpr size_t kResidentPerPod = 3;
+    constexpr size_t kRequests = 24;
+    constexpr size_t kKeyBytes = size_t{64} << 20;
+    constexpr double kAlpha = 1.6;
+    auto pods = makePods(42, kPods, 1);
+    TenantRegistry reg;
+    for (uint64_t t = 1; t <= kTenants; ++t) {
+        reg.registerTenant({.id = t});
+    }
+    ClusterConfig cfg;
+    cfg.defaultTenantKeyBytes = kKeyBytes;
+    cfg.keyCacheBytes = kResidentPerPod * kKeyBytes;
+    // Every pod is held below, so stale backlogs are intended.
+    cfg.breaker.wedgeDecisions = 0;
+    ServiceCluster cluster(distPtrs(pods), reg, cfg);
+
+    std::vector<double> cdf;
+    double sum = 0;
+    for (size_t k = 1; k <= kTenants; ++k) {
+        sum += std::pow(static_cast<double>(k), -kAlpha);
+        cdf.push_back(sum);
+    }
+    std::mt19937_64 rng(42);
+    std::uniform_real_distribution<double> u(0.0, sum);
+
+    // Held pods make routing a pure function of the draw sequence:
+    // nothing completes (and nothing fills) while requests arrive.
+    for (size_t i = 0; i < kPods; ++i) {
+        cluster.pod(i).pause();
+    }
+    // Reference: one LRU per pod, replaying the consistent routing.
+    std::vector<std::unique_ptr<BootstrappingKeyCache>> replay;
+    for (size_t i = 0; i < kPods; ++i) {
+        replay.push_back(std::make_unique<BootstrappingKeyCache>(
+            cfg.keyCacheBytes));
+    }
+    const auto inputs = makeInputs(*pods.ctx, *pods.ev, 4);
+    std::vector<std::shared_ptr<BootstrapTicket>> tickets;
+    for (size_t r = 0; r < kRequests; ++r) {
+        const uint64_t tid = static_cast<uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u(rng))
+            - cdf.begin() + 1);
+        replay[cluster.preferredPod(tid)]->touch(tid, kKeyBytes);
+        tickets.push_back(cluster.submit(tid, inputs[r % 4]));
+    }
+    for (size_t i = 0; i < kPods; ++i) {
+        cluster.pod(i).resume();
+    }
+    for (auto& t : tickets) {
+        EXPECT_GT(t->wait().slots, 0u);
+    }
+    cluster.drain();
+
+    const ClusterMetrics m = cluster.metrics();
+    EXPECT_EQ(m.requestsCompleted, kRequests);
+    EXPECT_EQ(m.routedPreferred, kRequests);
+    std::vector<KeyCacheStats> want;
+    for (const auto& c : replay) {
+        want.push_back(c->stats());
+    }
+    const KeyCacheStats ref = sumStats(want);
+    const KeyCacheStats& kc = m.keyCacheTotal;
+    EXPECT_EQ(kc.hits, ref.hits);
+    EXPECT_EQ(kc.misses, ref.misses);
+    EXPECT_EQ(kc.evictions, ref.evictions);
+    EXPECT_GT(kc.evictions, 0u); // the capacity bound actually bit
+    EXPECT_GT(kc.hitRate(), 0.5)
+        << "hits " << kc.hits << " misses " << kc.misses;
 }
 
 TEST(Cluster, AutoscalingOracleMatchesModeledPodThroughput)

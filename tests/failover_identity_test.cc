@@ -192,11 +192,10 @@ TEST(FailoverIdentity, CrashedPodFailoverIsByteIdentical)
     }
 }
 
-// The seeded scripted() schedule (what bench/chaos_recovery sweeps):
-// crash + wedge windows and failure bursts placed by the seed. The
-// counters are schedule-dependent, but identity, conservation, and
-// full completion must hold for every seed (maxAttempts is sized
-// above the schedule's worst case).
+// The seeded scripted() schedule: crash + wedge windows and failure
+// bursts placed by the seed. The counters are schedule-dependent, but
+// identity, conservation, and full completion must hold for every
+// seed (maxAttempts is sized above the schedule's worst case).
 TEST(FailoverIdentity, ScriptedChaosPreservesIdentityAndAccounting)
 {
     constexpr size_t kPods = 3;
@@ -237,6 +236,75 @@ TEST(FailoverIdentity, ScriptedChaosPreservesIdentityAndAccounting)
         EXPECT_EQ(ts.submitted, kRequests);
         EXPECT_EQ(ts.completed, kRequests);
         EXPECT_EQ(ts.inFlight, 0u);
+    }
+}
+
+// The scripted schedule against a multi-tenant cluster with a short-
+// horizon breaker, driven submit-then-drain: whatever the schedule
+// moves, every ticket's outcome agrees with the cluster's flight
+// counters, failovers account for every multi-attempt or exhausted
+// flight, and each tenant's admissions settle exactly once.
+TEST(FailoverIdentity, MultiTenantScriptedChaosBalancesTicketsAndCounters)
+{
+    constexpr size_t kPods = 3;
+    constexpr size_t kTenants = 4;
+    constexpr size_t kRequests = 16;
+    auto pods = makePods(42, kPods, 1);
+    const auto inputs = makeInputs(*pods.ctx, *pods.ev, 4);
+    for (const uint64_t seed : {7ull, 21ull, 42ull}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        TenantRegistry reg;
+        for (uint64_t t = 1; t <= kTenants; ++t) {
+            reg.registerTenant({.id = t});
+        }
+        ClusterConfig cfg;
+        cfg.pod.workers = 2;
+        cfg.pod.maxBatchItems = 48;
+        // One crash plus two bursts of at most two injected failures
+        // can fail a flight five times: six attempts always suffice.
+        cfg.failover.maxAttempts = 6;
+        cfg.breaker.window = 8;
+        cfg.breaker.minSamples = 2;
+        cfg.breaker.probeAfterSkips = 4;
+        cfg.breaker.wedgeDecisions = 24;
+        cfg.chaos = ChaosSpec::scripted(seed, kPods, kRequests);
+        ServiceCluster cluster(distPtrs(pods), reg, cfg);
+
+        std::vector<std::shared_ptr<BootstrapTicket>> tickets;
+        for (size_t r = 0; r < kRequests; ++r) {
+            tickets.push_back(
+                cluster.submit(1 + r % kTenants, inputs[r % 4]));
+        }
+        cluster.drain();
+
+        uint64_t completedWaits = 0, failedWaits = 0;
+        for (auto& t : tickets) {
+            try {
+                (void)t->wait();
+                ++completedWaits;
+            } catch (const PodError&) {
+                ++failedWaits;
+            }
+        }
+        const ClusterMetrics m = cluster.metrics();
+        EXPECT_EQ(completedWaits, m.requestsCompleted);
+        EXPECT_EQ(failedWaits, m.requestsFailed);
+        EXPECT_EQ(m.requestsCompleted, kRequests);
+        EXPECT_EQ(m.requestsFailed, 0u);
+        EXPECT_EQ(m.liveFlights, 0u);
+        EXPECT_LE(m.failoverSucceeded + m.failoverExhausted,
+                  m.failovers + m.requestsFailed);
+        EXPECT_EQ(m.chaos.crashes, 1u);
+        EXPECT_EQ(m.chaos.recoveries, 1u);
+        EXPECT_EQ(m.chaos.wedges, 1u);
+        EXPECT_EQ(m.chaos.unwedges, 1u);
+        uint64_t admitted = 0;
+        for (const TenantStats& ts : m.tenants) {
+            EXPECT_EQ(ts.submitted, ts.completed + ts.failed) << ts.id;
+            EXPECT_EQ(ts.inFlight, 0u) << ts.id;
+            admitted += ts.submitted;
+        }
+        EXPECT_EQ(admitted, kRequests);
     }
 }
 

@@ -6,12 +6,16 @@
  * alphabet (inject / crash / recover / pause) behaves like the
  * bootstrap pod's; a mixed bootstrap+PIR cluster serves both tenant
  * classes through shared routing/breakers/key caches with exact
- * admission conservation; PIR flights fail over byte-identically
- * under a chaos crash; and the failover thread's per-pod sweep
- * batching re-dispatches an accumulated retry backlog in one batch.
+ * admission conservation and weight-proportional served items within
+ * each class; every answer reports the server's analytic noise
+ * budget; PIR flights fail over byte-identically under a chaos crash;
+ * and the failover thread's per-pod sweep batching re-dispatches an
+ * accumulated retry backlog in one batch.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -197,6 +201,9 @@ TEST(PirService, ByteIdenticalAcrossWorkerCounts)
                     << "seed " << seed << " workers " << workers
                     << " query " << i;
                 EXPECT_EQ(w.client->decode(ans), w.db[indices[i]]);
+                // Every answer reports the server's analytic budget.
+                EXPECT_EQ(tickets[i]->report().budgetBits,
+                          w.server->answerBudgetBits());
             }
             const ServiceMetrics m = svc.metrics();
             EXPECT_EQ(m.submitted, queries.size());
@@ -333,7 +340,11 @@ TEST(PirCluster, MixedTenantClassesShareTheCluster)
                   answerBytes(w.server->answer(*queries[i])))
             << "lookup " << i;
         EXPECT_EQ(w.client->decode(ans), w.db[indices[i]]);
+        // The cluster relays the serving pod's budget report.
+        EXPECT_EQ(lookups[i]->report().budgetBits,
+                  w.server->answerBudgetBits());
     }
+    EXPECT_GT(w.server->answerBudgetBits(), 0.0);
     cluster.drain();
 
     const ClusterMetrics m = cluster.metrics();
@@ -363,6 +374,78 @@ TEST(PirCluster, MixedTenantClassesShareTheCluster)
         EXPECT_EQ(t.inFlight, 0u) << t.name;
         EXPECT_EQ(t.submitted, t.completed + t.failed) << t.name;
     }
+}
+
+/** Within-class weighted fairness: max over min of served items per
+ *  weight across `ids`; NaN when a tenant was never served. */
+double
+classFairness(const TenantRegistry& reg, const std::vector<uint64_t>& ids)
+{
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = 0;
+    for (const uint64_t id : ids) {
+        const TenantStats st = reg.stats(id);
+        const double share = static_cast<double>(st.servedItems) / st.weight;
+        lo = std::min(lo, share);
+        hi = std::max(hi, share);
+    }
+    return lo > 0 ? hi / lo : std::numeric_limits<double>::quiet_NaN();
+}
+
+TEST(PirCluster, ServiceIsWeightProportionalWithinEachClass)
+{
+    // Two tenants per class with weights 1:2, each served in weight
+    // proportion: the per-class served-items-per-weight shares must
+    // come out exactly equal, although the classes count items in
+    // different units (ring slots vs first-dimension groups).
+    const uint64_t seed = 21;
+    auto pods = makePods(seed, 2, 1);
+    const PirWorld w = makePirWorld(seed);
+    TenantRegistry reg;
+    const std::vector<uint64_t> bootIds{11, 12};
+    const std::vector<uint64_t> pirIds{21, 22};
+    for (size_t i = 0; i < 2; ++i) {
+        const double weight = static_cast<double>(i + 1);
+        reg.registerTenant(TenantSpec{.id = bootIds[i], .weight = weight});
+        reg.registerTenant(TenantSpec{.id = pirIds[i], .weight = weight});
+    }
+    ClusterConfig cfg;
+    cfg.pod.workers = 2;
+    cfg.pirServer = w.server.get();
+    cfg.pirPod.workers = 2;
+    ServiceCluster cluster(distPtrs(pods), reg, cfg);
+
+    const auto inputs = makeInputs(*pods.ctx, *pods.ev, 3);
+    const auto queries = makeQueries(w, seed, {4, 19, 26, 38, 51, 60});
+    std::vector<std::shared_ptr<BootstrapTicket>> boots;
+    std::vector<std::shared_ptr<PirTicket>> lookups;
+    // One bootstrap for weight 1, two for weight 2; lookups 2 and 4.
+    boots.push_back(cluster.submit(bootIds[0], inputs[0]));
+    for (size_t i = 1; i < 3; ++i) {
+        boots.push_back(cluster.submit(bootIds[1], inputs[i]));
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+        lookups.push_back(
+            cluster.submitPir(pirIds[i < 2 ? 0 : 1], queries[i]));
+    }
+    for (auto& t : boots) {
+        EXPECT_NO_THROW(t->wait());
+    }
+    for (auto& t : lookups) {
+        EXPECT_NO_THROW(t->wait());
+    }
+    cluster.drain();
+
+    EXPECT_EQ(reg.stats(bootIds[0]).servedItems,
+              cluster.itemsPerRequest());
+    EXPECT_EQ(reg.stats(pirIds[0]).servedItems,
+              2 * w.params.firstDimGroups());
+    EXPECT_DOUBLE_EQ(classFairness(reg, bootIds), 1.0);
+    EXPECT_DOUBLE_EQ(classFairness(reg, pirIds), 1.0);
+    // Across classes the units differ, so the cluster-wide ratio is
+    // only bounded: a real ratio, never a bogus value below one.
+    const double global = cluster.metrics().fairnessRatio;
+    EXPECT_TRUE(std::isnan(global) || global >= 1.0) << global;
 }
 
 TEST(PirCluster, ChaosCrashFailsOverByteIdentically)

@@ -41,7 +41,7 @@ main()
         return std::pair{sum, carry};
     };
 
-    for (const auto [x, y] : {std::pair{3, 5}, {9, 7}, {15, 15},
+    for (const auto& [x, y] : {std::pair{3, 5}, {9, 7}, {15, 15},
                               {12, 1}}) {
         const auto a = encryptNibble(x);
         const auto b = encryptNibble(y);

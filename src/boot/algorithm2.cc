@@ -6,7 +6,6 @@
 #include "ckks/noise.h"
 #include "common/check.h"
 #include "math/modarith.h"
-#include "tfhe/blind_rotate.h"
 
 namespace heap::boot {
 
@@ -53,6 +52,27 @@ makeBootstrapTestPoly(std::shared_ptr<const math::RnsBasis> basis)
     }
     testPoly.mulScalarRnsInPlace(invN);
     return testPoly;
+}
+
+std::shared_ptr<const BootstrapKeys>
+makeBootstrapKeys(const ckks::Context& ctx, rlwe::GadgetParams brGadget)
+{
+    auto keys = std::make_shared<BootstrapKeys>();
+    keys->brGadget =
+        brGadget.digitsPerLimb > 0 ? brGadget : ctx.params().gadget;
+    keys->brGadget.validateFor(*ctx.basis());
+    HEAP_CHECK(ctx.params().auxLimbs >= 1,
+               "scheme-switching bootstrap needs an auxiliary prime p");
+    Rng& rng = ctx.rng();
+    keys->brk = tfhe::makeBlindRotateKey(ctx.secretKey(),
+                                         ctx.secretKey().coeffs(),
+                                         keys->brGadget, rng,
+                                         ctx.noiseParams());
+    keys->packing = tfhe::makePackingKeys(
+        ctx.secretKey(), ctx.params().n, ctx.params().gadget, rng,
+        ctx.noiseParams());
+    keys->testPoly = makeBootstrapTestPoly(ctx.basis());
+    return keys;
 }
 
 ckks::Ciphertext

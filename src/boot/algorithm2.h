@@ -2,16 +2,20 @@
  * @file
  * Shared pieces of Algorithm 2 used by both the single-process
  * bootstrapper (scheme_switch.h) and the distributed multi-node
- * protocol (distributed.h): the exact-division modulus switch
- * (steps 1-2), the pre-scaled triangle test polynomial, and the
- * finishing arithmetic (steps 4-5).
+ * protocol (distributed.h): the bootstrapping key set, the
+ * exact-division modulus switch (steps 1-2), the pre-scaled triangle
+ * test polynomial, and the finishing arithmetic (steps 4-5).
  */
 
 #ifndef HEAP_BOOT_ALGORITHM2_H
 #define HEAP_BOOT_ALGORITHM2_H
 
+#include <memory>
+
 #include "ckks/context.h"
 #include "lwe/lwe.h"
+#include "tfhe/blind_rotate.h"
+#include "tfhe/repack.h"
 
 namespace heap::boot {
 
@@ -21,6 +25,28 @@ struct ModSwitched {
     std::vector<uint64_t> aMs;  ///< (2N*a - a') / q, entries in [0, 2N)
     std::vector<uint64_t> bMs;
 };
+
+/**
+ * The bootstrapping key set (the paper's 18x-smaller set) plus
+ * Algorithm 2's test polynomial. Generated once and immutable: copies
+ * and replicas of a bootstrapper, and the secondaries of a
+ * distributed one, all reference the same set.
+ */
+struct BootstrapKeys {
+    rlwe::GadgetParams brGadget; ///< gadget of the blind-rotate keys
+    tfhe::BlindRotateKey brk;    ///< RGSW of each ring-secret coefficient
+    tfhe::PackingKeys packing;   ///< repacking automorphism keys
+    math::RnsPoly testPoly;      ///< makeBootstrapTestPoly(basis)
+};
+
+/**
+ * Generates the key set from ctx's secret: blind-rotate keys over the
+ * ring secret itself (n_t = N), then the packing keys, both drawn
+ * from ctx.rng(). `brGadget` overrides the context's gadget for the
+ * blind-rotate keys when its digitsPerLimb is nonzero.
+ */
+std::shared_ptr<const BootstrapKeys> makeBootstrapKeys(
+    const ckks::Context& ctx, rlwe::GadgetParams brGadget);
 
 /**
  * Steps 1-2: ct' = 2N*ct (mod q) and the exact-division modulus

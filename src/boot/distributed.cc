@@ -214,45 +214,32 @@ DistributedBootstrapper::DistributedBootstrapper(
     rlwe::GadgetParams brGadget)
     : ctx_(&ctx)
 {
+    // Checked before the keys draw from the context RNG.
     HEAP_CHECK(secondaries >= 1 && secondaries <= 63,
                "bad secondary count");
-    HEAP_CHECK(ctx.params().auxLimbs >= 1,
-               "scheme-switching bootstrap needs an auxiliary prime p");
-    const rlwe::GadgetParams g = brGadget.digitsPerLimb > 0
-                                     ? brGadget
-                                     : ctx.params().gadget;
-    g.validateFor(*ctx.basis());
-    Rng& rng = ctx.rng();
-    brk_ = tfhe::makeBlindRotateKey(ctx.secretKey(),
-                                    ctx.secretKey().coeffs(), g, rng,
-                                    ctx.noiseParams());
-    packKeys_ = tfhe::makePackingKeys(ctx.secretKey(), ctx.params().n,
-                                      ctx.params().gadget, rng,
-                                      ctx.noiseParams());
-    testPoly_ = makeBootstrapTestPoly(ctx.basis());
-    for (size_t i = 0; i < secondaries; ++i) {
-        nodes_.push_back(std::make_unique<SecondaryNode>(
-            ctx.basis(), &brk_, &testPoly_));
-    }
-    faultSpecs_.resize(secondaries);
-    // Assignment rather than resize: SimulatedLink owns a mutex and
-    // is therefore not move-insertable.
-    out_ = std::vector<SimulatedLink>(secondaries);
-    in_ = std::vector<SimulatedLink>(secondaries);
+    keys_ = makeBootstrapKeys(ctx, brGadget);
+    addSecondaries(secondaries);
 }
 
 DistributedBootstrapper::DistributedBootstrapper(
     const DistributedBootstrapper& other, size_t secondaries)
-    : ctx_(other.ctx_), brk_(other.brk_), packKeys_(other.packKeys_),
-      testPoly_(other.testPoly_)
+    : ctx_(other.ctx_), keys_(other.keys_)
+{
+    addSecondaries(secondaries);
+}
+
+void
+DistributedBootstrapper::addSecondaries(size_t secondaries)
 {
     HEAP_CHECK(secondaries >= 1 && secondaries <= 63,
                "bad secondary count");
     for (size_t i = 0; i < secondaries; ++i) {
         nodes_.push_back(std::make_unique<SecondaryNode>(
-            ctx_->basis(), &brk_, &testPoly_));
+            ctx_->basis(), &keys_->brk, &keys_->testPoly));
     }
     faultSpecs_.resize(secondaries);
+    // Assignment rather than resize: SimulatedLink owns a mutex and
+    // is therefore not move-insertable.
     out_ = std::vector<SimulatedLink>(secondaries);
     in_ = std::vector<SimulatedLink>(secondaries);
 }
@@ -293,14 +280,14 @@ double
 DistributedBootstrapper::bootBlindRotateSigma() const
 {
     const auto basis = ctx_->basis();
-    return tfhe::blindRotateSigma(brk_, basis->size(), basis->n());
+    return tfhe::blindRotateSigma(keys_->brk, basis->size(), basis->n());
 }
 
 std::vector<rlwe::Ciphertext>
 DistributedBootstrapper::rotateLocal(
     std::span<const lwe::LweCiphertext> lwes) const
 {
-    return tfhe::blindRotateBatch(lwes, testPoly_, brk_);
+    return tfhe::blindRotateBatch(lwes, keys_->testPoly, keys_->brk);
 }
 
 /**
@@ -442,7 +429,7 @@ DistributedBootstrapper::exchangeRotate(
         // Reclaim its share on the primary — correct result, slower
         // wall-clock — exactly as a lost FPGA would be absorbed.
         st.dead = true;
-        auto accs = tfhe::blindRotateBatch(lwes, testPoly_, brk_);
+        auto accs = tfhe::blindRotateBatch(lwes, keys_->testPoly, keys_->brk);
         for (size_t i = 0; i < accs.size(); ++i) {
             rotated[i] = std::move(accs[i]);
         }
@@ -573,11 +560,11 @@ DistributedBootstrapper::bootstrap(const ckks::Ciphertext& in) const
     // Repack + finish on the primary. The output budget is computed
     // analytically on the primary alone, so it is byte-identical
     // regardless of link faults, retries, or reclaimed shares.
-    rlwe::Ciphertext ctKq = tfhe::packRlwes(rotated, packKeys_);
+    rlwe::Ciphertext ctKq = tfhe::packRlwes(rotated, keys_->packing);
     ckks::Ciphertext out = finishBootstrap(std::move(ctKq), ms, *basis,
                                            in.scale, in.slots);
     out.budget = bootstrapOutputBudget(
-        *ctx_, in, tfhe::blindRotateSigma(brk_, basis->size(), n),
+        *ctx_, in, tfhe::blindRotateSigma(keys_->brk, basis->size(), n),
         *basis);
     ctx_->noiseGuardCheck(out, "bootstrap");
     return out;

@@ -127,9 +127,10 @@ class SimulatedLink {
 };
 
 /**
- * A secondary node (Section V): holds the shared blind-rotate keys
- * and test polynomial, consumes serialized LWE batches, produces
- * serialized blind-rotated accumulators.
+ * A secondary node (Section V): references the shared blind-rotate
+ * keys and test polynomial (which must outlive it), consumes
+ * serialized LWE batches, produces serialized blind-rotated
+ * accumulators.
  */
 class SecondaryNode {
   public:
@@ -219,7 +220,9 @@ struct DistributedTraffic {
 /**
  * Primary node + protocol driver. Key material is generated once and
  * (conceptually) replicated to the secondaries, as in the paper's
- * deployment where every FPGA is loaded with the same RTL and keys.
+ * deployment where every FPGA is loaded with the same RTL and keys;
+ * in this process the secondaries and every replica reference one
+ * immutable BootstrapKeys.
  */
 class DistributedBootstrapper {
   public:
@@ -232,11 +235,11 @@ class DistributedBootstrapper {
      * Replica constructor: a new pod loaded with `other`'s key
      * material — the paper's deployment, where keys are generated
      * once and replicated to every FPGA group. Shares other's
-     * context (which must outlive the replica) and copies the
-     * blind-rotate/packing keys and test polynomial, so the replica's
-     * bootstrap outputs are byte-identical to other's; links,
-     * secondaries, fault policy, and traffic accounting are its own.
-     * Draws nothing from the context RNG.
+     * context (which must outlive the replica) and its immutable
+     * blind-rotate/packing keys and test polynomial (no copy), so the
+     * replica's bootstrap outputs are byte-identical to other's;
+     * links, secondaries, fault policy, and traffic accounting are
+     * its own. Draws nothing from the context RNG.
      */
     DistributedBootstrapper(const DistributedBootstrapper& other,
                             size_t secondaries);
@@ -280,8 +283,8 @@ class DistributedBootstrapper {
     const DistributedTraffic& lastTraffic() const { return traffic_; }
     const SecondaryNode& node(size_t i) const { return *nodes_[i]; }
     const ckks::Context& context() const { return *ctx_; }
-    const tfhe::PackingKeys& packingKeys() const { return packKeys_; }
-    const math::RnsPoly& bootTestPoly() const { return testPoly_; }
+    const tfhe::PackingKeys& packingKeys() const { return keys_->packing; }
+    const math::RnsPoly& bootTestPoly() const { return keys_->testPoly; }
 
     /** Predicted accumulator error stddev of one blind rotation with
      *  this object's keys (feeds bootstrapOutputBudget). */
@@ -323,11 +326,11 @@ class DistributedBootstrapper {
     void resetProtocolRun() const;
 
   private:
+    /** Adds the secondaries, their links and fault slots. */
+    void addSecondaries(size_t secondaries);
 
     const ckks::Context* ctx_;
-    tfhe::BlindRotateKey brk_;
-    tfhe::PackingKeys packKeys_;
-    math::RnsPoly testPoly_;
+    std::shared_ptr<const BootstrapKeys> keys_;
     std::vector<std::unique_ptr<SecondaryNode>> nodes_;
     size_t workers_ = 1;
     RetryPolicy retry_{};

@@ -14,21 +14,8 @@ using math::RnsPoly;
 
 SchemeSwitchBootstrapper::SchemeSwitchBootstrapper(
     const ckks::Context& ctx, rlwe::GadgetParams brGadget)
-    : ctx_(&ctx)
+    : ctx_(&ctx), keys_(makeBootstrapKeys(ctx, brGadget))
 {
-    brGadget_ = brGadget.digitsPerLimb > 0 ? brGadget
-                                           : ctx.params().gadget;
-    brGadget_.validateFor(*ctx.basis());
-    HEAP_CHECK(ctx.params().auxLimbs >= 1,
-               "scheme-switching bootstrap needs an auxiliary prime p");
-    Rng& rng = ctx.rng();
-    // Blind-rotate keys over the ring secret itself (n_t = N).
-    brk_ = tfhe::makeBlindRotateKey(ctx.secretKey(),
-                                    ctx.secretKey().coeffs(), brGadget_,
-                                    rng, ctx.noiseParams());
-    packKeys_ = tfhe::makePackingKeys(ctx.secretKey(), ctx.params().n,
-                                      ctx.params().gadget, rng,
-                                      ctx.noiseParams());
 }
 
 void
@@ -55,12 +42,13 @@ SchemeSwitchBootstrapper::keyBytes() const
     const size_t polyBytes = basis.n() * basis.size() * sizeof(uint64_t);
     // Each RGSW = 2 gadget halves of (limbs * d) RLWE rows of 2 polys.
     const size_t rowsPerGadget =
-        basis.size() * static_cast<size_t>(brGadget_.digitsPerLimb);
+        basis.size() * static_cast<size_t>(keys_->brGadget.digitsPerLimb);
     const size_t rgswBytes = 2 * rowsPerGadget * 2 * polyBytes;
-    size_t total = (brk_.plus.size() + brk_.minus.size()) * rgswBytes / 2;
+    size_t total =
+        (keys_->brk.plus.size() + keys_->brk.minus.size()) * rgswBytes / 2;
     const size_t kskRows = basis.size()
         * static_cast<size_t>(ctx_->params().gadget.digitsPerLimb);
-    total += packKeys_.autoKeys.size() * kskRows * 2 * polyBytes;
+    total += keys_->packing.autoKeys.size() * kskRows * 2 * polyBytes;
     return total;
 }
 
@@ -91,12 +79,13 @@ SchemeSwitchBootstrapper::bootstrap(const ckks::Ciphertext& in) const
 
     // --- Step 3a: Extract + BlindRotate every coefficient -----------
     // LUT: F(u) = q0 * u, pre-divided by the repacking gain N.
-    const RnsPoly testPoly = makeBootstrapTestPoly(basis);
+    const RnsPoly& testPoly = keys_->testPoly;
+    const tfhe::BlindRotateKey& brk = keys_->brk;
 
     std::vector<rlwe::Ciphertext> rotated(n);
     auto rotateOne = [&](size_t i) {
         const auto lwe = lwe::extractLwe(aMs, bMs, i, twoN);
-        rotated[i] = tfhe::blindRotate(lwe, testPoly, brk_);
+        rotated[i] = tfhe::blindRotate(lwe, testPoly, brk);
     };
     if (schedule_ == Schedule::KeyMajor) {
         // Section IV-E: one key fetch serves every ciphertext.
@@ -105,7 +94,7 @@ SchemeSwitchBootstrapper::bootstrap(const ckks::Ciphertext& in) const
         for (size_t i = 0; i < n; ++i) {
             lwes.push_back(lwe::extractLwe(aMs, bMs, i, twoN));
         }
-        rotated = tfhe::blindRotateBatch(lwes, testPoly, brk_);
+        rotated = tfhe::blindRotateBatch(lwes, testPoly, brk);
     } else if (workers_ <= 1) {
         for (size_t i = 0; i < n; ++i) {
             rotateOne(i);
@@ -121,7 +110,7 @@ SchemeSwitchBootstrapper::bootstrap(const ckks::Ciphertext& in) const
     timer.reset();
 
     // --- Step 3b: repack the N results into one RLWE ciphertext -----
-    rlwe::Ciphertext ctKq = tfhe::packRlwes(rotated, packKeys_);
+    rlwe::Ciphertext ctKq = tfhe::packRlwes(rotated, keys_->packing);
     times_.repackMs = timer.millis();
     timer.reset();
 
@@ -131,7 +120,7 @@ SchemeSwitchBootstrapper::bootstrap(const ckks::Ciphertext& in) const
     HEAP_ASSERT(out.level() == outLimbs, "limb accounting error");
     out.budget = bootstrapOutputBudget(
         *ctx_, in,
-        tfhe::blindRotateSigma(brk_, bootLimbs, n), *basis);
+        tfhe::blindRotateSigma(brk, bootLimbs, n), *basis);
     ctx_->noiseGuardCheck(out, "bootstrap");
     times_.finishMs = timer.millis();
     return out;

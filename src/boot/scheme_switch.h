@@ -31,10 +31,10 @@
 #define HEAP_BOOT_SCHEME_SWITCH_H
 
 #include <cstddef>
+#include <memory>
 
+#include "boot/algorithm2.h"
 #include "ckks/evaluator.h"
-#include "tfhe/blind_rotate.h"
-#include "tfhe/repack.h"
 
 namespace heap::boot {
 
@@ -47,15 +47,15 @@ struct BootstrapStepTimes {
 };
 
 /**
- * Key material + driver for the scheme-switching bootstrap. Keys are
- * derived from a CKKS context's secret at construction: blind-rotate
- * keys (RGSW of each secret coefficient) and repacking automorphism
- * keys — together the paper's 18x-smaller bootstrapping key set.
+ * Runs the scheme-switching bootstrap. Its key set (blind-rotate
+ * keys, RGSW of each secret coefficient, and repacking automorphism
+ * keys: the paper's 18x-smaller bootstrapping key set) is derived
+ * from a CKKS context's secret at construction. Copies share it.
  */
 class SchemeSwitchBootstrapper {
   public:
     /**
-     * Generates bootstrapping keys.
+     * Generates bootstrapping keys (makeBootstrapKeys).
      * @param brGadget optional gadget override for the blind-rotate
      *        keys (smaller digits => less noise, more compute); the
      *        context's gadget is used when digitsPerLimb is 0.
@@ -95,9 +95,7 @@ class SchemeSwitchBootstrapper {
 
   private:
     const ckks::Context* ctx_;
-    rlwe::GadgetParams brGadget_;
-    tfhe::BlindRotateKey brk_;
-    tfhe::PackingKeys packKeys_;
+    std::shared_ptr<const BootstrapKeys> keys_;
     size_t workers_ = 1;
     Schedule schedule_ = Schedule::PerCiphertext;
     mutable BootstrapStepTimes times_;

@@ -1,5 +1,6 @@
 #include "rlwe/gadget.h"
 
+#include <array>
 #include <bit>
 #include <memory>
 #include <optional>
@@ -31,60 +32,176 @@ GadgetParams::validateFor(const math::RnsBasis& basis) const
 namespace {
 
 /**
- * Splits the centered value v into d balanced base-B digits written to
- * out[0], out[stride], ..., out[(d-1)*stride]. The top digit absorbs
- * the final remainder.
- */
-inline void
-decomposeCentered(int64_t v, int d, int baseBits, int64_t* out,
-                  size_t stride)
-{
-    const int64_t base = 1LL << baseBits;
-    for (int j = 0; j < d; ++j) {
-        if (j == d - 1) {
-            out[static_cast<size_t>(j) * stride] = v;
-            break;
-        }
-        int64_t r = v % base;
-        if (r > base / 2) {
-            r -= base;
-        } else if (r < -base / 2) {
-            r += base;
-        }
-        out[static_cast<size_t>(j) * stride] = r;
-        v = (v - r) >> baseBits;
-    }
-}
-
-/**
- * Flat digit decomposition: digit (i, j) occupies
- * out[(i*d + j) * n, +n). Digit values match gadgetDecompose().
+ * The one digit routine: splits every active limb of x (Coeff domain)
+ * into d base-B digits, digit (i, j) at out[(i*d + j) * n, +n).
+ * Unsigned digits are the base-B words of the residue; balanced digits
+ * in [-B/2, B/2] come from the centered representative by carry
+ * propagation, the top digit absorbing the final remainder.
  */
 void
 decomposeInto(const math::RnsPoly& x, const GadgetParams& params,
               std::span<int64_t> out)
 {
     const size_t n = x.n();
-    const size_t l = x.limbCount();
     const int d = params.digitsPerLimb;
+    const int64_t base = 1LL << params.baseBits;
     const uint64_t mask = (1ULL << params.baseBits) - 1;
-    for (size_t i = 0; i < l; ++i) {
+    for (size_t i = 0; i < x.limbCount(); ++i) {
         const uint64_t qi = x.basis().modulus(i);
         const auto src = x.limb(i);
-        int64_t* base = out.data() + i * static_cast<size_t>(d) * n;
+        int64_t* dst = out.data() + i * static_cast<size_t>(d) * n;
         for (size_t t = 0; t < n; ++t) {
             if (!params.balanced) {
                 for (int j = 0; j < d; ++j) {
-                    base[static_cast<size_t>(j) * n + t] =
+                    dst[static_cast<size_t>(j) * n + t] =
                         static_cast<int64_t>(
                             (src[t] >> (j * params.baseBits)) & mask);
                 }
                 continue;
             }
-            decomposeCentered(math::toCentered(src[t], qi), d,
-                              params.baseBits, base + t, n);
+            int64_t v = math::toCentered(src[t], qi);
+            for (int j = 0; j + 1 < d; ++j) {
+                int64_t r = v % base;
+                if (r > base / 2) {
+                    r -= base;
+                } else if (r < -base / 2) {
+                    r += base;
+                }
+                dst[static_cast<size_t>(j) * n + t] = r;
+                v = (v - r) >> params.baseBits;
+            }
+            dst[static_cast<size_t>(d - 1) * n + t] = v;
         }
     }
+}
+
+/** A polynomial to decompose and, per output, the gadget ciphertext
+ *  its digits multiply. Every key of a block shares one gadget. */
+template <size_t Outputs>
+struct DigitBlock {
+    const math::RnsPoly* x;
+    std::array<const GadgetCiphertext*, Outputs> keys;
+};
+
+/**
+ * The one gadget product behind gadgetApply, externalProduct and
+ * externalProductPair:
+ *
+ *     out[o] = sum_s sum_{i,j} Digit_{i,j}(x_s) (*) keys_s[o].row(i, j)
+ *
+ * Each block is decomposed once (a copy of an Eval input is converted
+ * first). Per output limb, every digit is lifted and forward-NTT'd
+ * once into `row`, then multiplied into all 2 * Outputs 128-bit sums.
+ * A product is below q^2 and a reduced sum below q, so `budget`
+ * products on top of a reduced sum stay below q * 2^64, the reducer's
+ * domain; sums mod q are exact, so reducing once at the end (or
+ * whenever the budget runs out) gives the canonical values that
+ * reducing after every product would. Output limbs are independent
+ * and fan out like RnsPoly::toEval. Outputs have x's limb count, Eval
+ * domain.
+ */
+template <size_t Blocks, size_t Outputs>
+std::array<Ciphertext, Outputs>
+gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
+{
+    const auto basis = blocks[0].x->basisPtr();
+    const size_t n = basis->n();
+    const size_t l = blocks[0].x->limbCount();
+    size_t rows = 0;
+    for (const DigitBlock<Outputs>& block : blocks) {
+        HEAP_ASSERT(block.x->limbCount() == l, "blocks differ in limbs");
+        const size_t blockRows =
+            l * static_cast<size_t>(block.keys[0]->params().digitsPerLimb);
+        for (const GadgetCiphertext* K : block.keys) {
+            HEAP_CHECK(K->rowCount() >= blockRows,
+                       "gadget ciphertext has too few rows");
+        }
+        rows += blockRows;
+    }
+
+    // The blocks' digit rows, back to back in block order.
+    math::ScratchFrame scratch;
+    auto digits = scratch.borrowSigned(rows * n);
+    std::optional<math::RnsPoly> converted;
+    size_t filled = 0;
+    for (const DigitBlock<Outputs>& block : blocks) {
+        const math::RnsPoly* x = block.x;
+        if (x->domain() != Domain::Coeff) {
+            converted.emplace(*x);
+            converted->toCoeff();
+            x = &*converted;
+        }
+        const GadgetParams& gp = block.keys[0]->params();
+        decomposeInto(*x, gp, digits.subspan(filled));
+        filled += l * static_cast<size_t>(gp.digitsPerLimb) * n;
+    }
+
+    std::array<Ciphertext, Outputs> out;
+    for (Ciphertext& c : out) {
+        c.a = math::RnsPoly(basis, l, Domain::Eval);
+        c.b = math::RnsPoly(basis, l, Domain::Eval);
+    }
+
+    // Sum c = 2o is out[o].a, c = 2o + 1 is out[o].b.
+    constexpr size_t kSums = 2 * Outputs;
+    auto processLimb = [&](size_t k) {
+        const uint64_t qk = basis->modulus(k);
+        const auto& red = basis->reducer(k);
+        const uint64_t budget = ~uint64_t{0} / qk;
+        const math::KernelOps& ops = math::kernels();
+        math::ScratchFrame inner;
+        auto row = inner.borrow(n);
+        // Construct the uint128 sums in place, n each.
+        auto* acc = reinterpret_cast<math::uint128*>(
+            inner.borrow(2 * kSums * n).data());
+        std::uninitialized_fill_n(acc, kSums * n, math::uint128{0});
+        uint64_t terms = 0;
+        const int64_t* dig = digits.data();
+        for (const DigitBlock<Outputs>& block : blocks) {
+            const int d = block.keys[0]->params().digitsPerLimb;
+            for (size_t i = 0; i < l; ++i) {
+                for (int j = 0; j < d; ++j, dig += n) {
+                    ops.liftSigned(row.data(), dig, n, qk);
+                    basis->ntt(k).forward(row);
+                    if (terms == budget) {
+                        for (size_t t = 0; t < kSums * n; ++t) {
+                            acc[t] = red.reduce(acc[t]);
+                        }
+                        terms = 0;
+                    }
+                    ++terms;
+                    const uint64_t* key[kSums];
+                    for (size_t o = 0; o < Outputs; ++o) {
+                        const Ciphertext& kr = block.keys[o]->row(
+                            i, static_cast<size_t>(j));
+                        key[2 * o] = kr.a.limb(k).data();
+                        key[2 * o + 1] = kr.b.limb(k).data();
+                    }
+                    for (size_t t = 0; t < n; ++t) {
+                        const math::uint128 x = row[t];
+                        for (size_t c = 0; c < kSums; ++c) {
+                            acc[c * n + t] += x * key[c][t];
+                        }
+                    }
+                }
+            }
+        }
+        for (size_t c = 0; c < kSums; ++c) {
+            Ciphertext& o = out[c / 2];
+            uint64_t* dst = (c % 2 == 0 ? o.a : o.b).limb(k).data();
+            for (size_t t = 0; t < n; ++t) {
+                dst[t] = red.reduce(acc[c * n + t]);
+            }
+        }
+    };
+    if (l >= 2 && n >= 1024) {
+        parallelFor(0, l, 1, processLimb);
+    } else {
+        for (size_t k = 0; k < l; ++k) {
+            processLimb(k);
+        }
+    }
+    return out;
 }
 
 } // namespace
@@ -95,37 +212,12 @@ gadgetDecompose(const math::RnsPoly& x, const GadgetParams& params)
     HEAP_CHECK(x.domain() == Domain::Coeff,
                "gadget decomposition requires Coeff domain");
     const size_t n = x.n();
-    const size_t l = x.limbCount();
-    const int d = params.digitsPerLimb;
-    const uint64_t mask = (1ULL << params.baseBits) - 1;
-    std::vector<std::vector<int64_t>> digits(l * d);
-    for (size_t i = 0; i < l; ++i) {
-        for (int j = 0; j < d; ++j) {
-            digits[i * d + j].resize(n);
-        }
-    }
-    for (size_t i = 0; i < l; ++i) {
-        const uint64_t qi = x.basis().modulus(i);
-        const auto src = x.limb(i);
-        for (size_t t = 0; t < n; ++t) {
-            if (!params.balanced) {
-                for (int j = 0; j < d; ++j) {
-                    digits[i * d + j][t] = static_cast<int64_t>(
-                        (src[t] >> (j * params.baseBits)) & mask);
-                }
-                continue;
-            }
-            // Balanced: decompose the centered representative with
-            // digits in [-B/2, B/2] (carry propagation); the top
-            // digit absorbs the final remainder.
-            int64_t local[64];
-            HEAP_ASSERT(d <= 64, "too many gadget digits");
-            decomposeCentered(math::toCentered(src[t], qi), d,
-                              params.baseBits, local, 1);
-            for (int j = 0; j < d; ++j) {
-                digits[i * d + j][t] = local[j];
-            }
-        }
+    std::vector<int64_t> flat(
+        x.limbCount() * static_cast<size_t>(params.digitsPerLimb) * n);
+    decomposeInto(x, params, flat);
+    std::vector<std::vector<int64_t>> digits;
+    for (auto it = flat.begin(); it != flat.end(); it += n) {
+        digits.emplace_back(it, it + n);
     }
     return digits;
 }
@@ -174,62 +266,9 @@ gadgetEncrypt(const SecretKey& sk, const math::RnsPoly& msg,
 Ciphertext
 gadgetApply(const math::RnsPoly& x, const GadgetCiphertext& K)
 {
-    auto basis = x.basisPtr();
-    const size_t n = x.n();
-    const size_t l = x.limbCount();
-    const int d = K.params().digitsPerLimb;
     HEAP_CHECK(x.domain() == Domain::Coeff,
                "gadget decomposition requires Coeff domain");
-    HEAP_CHECK(K.rowCount() >= l * static_cast<size_t>(d),
-               "gadget ciphertext has too few rows");
-
-    // Decompose every limb once into a flat signed-digit buffer; the
-    // digits are shared read-only by all output limbs.
-    math::ScratchFrame scratch;
-    auto digits = scratch.borrowSigned(l * static_cast<size_t>(d) * n);
-    decomposeInto(x, K.params(), digits);
-
-    Ciphertext acc;
-    acc.a = math::RnsPoly(basis, l, Domain::Eval);
-    acc.b = math::RnsPoly(basis, l, Domain::Eval);
-
-    // Fused per-limb pipeline (lift digit -> NTT -> multiply-accumulate
-    // both components): each output limb is independent, so the limb
-    // loop fans out exactly like RnsPoly::toEval. Digit magnitudes are
-    // < B < every modulus, so liftSigned's |v| < q precondition holds.
-    auto processLimb = [&](size_t k) {
-        const uint64_t qk = basis->modulus(k);
-        const auto& red = basis->reducer(k);
-        const math::KernelOps& ops = math::kernels();
-        math::ScratchFrame inner;
-        auto tmp = inner.borrow(n);
-        auto accA = acc.a.limb(k);
-        auto accB = acc.b.limb(k);
-        for (size_t i = 0; i < l; ++i) {
-            for (int j = 0; j < d; ++j) {
-                const int64_t* dig =
-                    digits.data()
-                    + (i * static_cast<size_t>(d)
-                       + static_cast<size_t>(j))
-                          * n;
-                ops.liftSigned(tmp.data(), dig, n, qk);
-                basis->ntt(k).forward(tmp);
-                const Ciphertext& row = K.row(i, j);
-                ops.mulModAccum(accA.data(), tmp.data(),
-                                row.a.limb(k).data(), n, red);
-                ops.mulModAccum(accB.data(), tmp.data(),
-                                row.b.limb(k).data(), n, red);
-            }
-        }
-    };
-    if (l >= 2 && n >= 1024) {
-        parallelFor(0, l, 1, processLimb);
-    } else {
-        for (size_t k = 0; k < l; ++k) {
-            processLimb(k);
-        }
-    }
-    return acc;
+    return gadgetProduct<1, 1>({{{&x, {&K}}}})[0];
 }
 
 GadgetCiphertext
@@ -308,131 +347,26 @@ rgswEncryptConstant(const SecretKey& sk, int64_t value,
 Ciphertext
 externalProduct(const Ciphertext& ct, const RgswCiphertext& C)
 {
-    math::RnsPoly b = ct.b;
-    b.toCoeff();
-    math::RnsPoly a = ct.a;
-    a.toCoeff();
-    Ciphertext out = gadgetApply(b, C.forB);
-    const Ciphertext fromA = gadgetApply(a, C.forA);
-    out.addInPlace(fromA);
-    return out;
+    return gadgetProduct<2, 1>(
+        {{{&ct.b, {&C.forB}}, {&ct.a, {&C.forA}}}})[0];
 }
 
 std::pair<Ciphertext, Ciphertext>
 externalProductPair(const Ciphertext& ct, const RgswCiphertext& C0,
                     const RgswCiphertext& C1)
 {
-    auto basis = ct.b.basisPtr();
-    const size_t n = ct.b.n();
-    const size_t l = ct.b.limbCount();
     const GadgetParams& gp = C0.forB.params();
-    const int d = gp.digitsPerLimb;
-    const size_t rows = l * static_cast<size_t>(d);
     for (const GadgetCiphertext* half :
          {&C0.forB, &C0.forA, &C1.forB, &C1.forA}) {
         const GadgetParams& p = half->params();
-        HEAP_CHECK(p.baseBits == gp.baseBits && p.digitsPerLimb == d
+        HEAP_CHECK(p.baseBits == gp.baseBits
+                       && p.digitsPerLimb == gp.digitsPerLimb
                        && p.balanced == gp.balanced,
                    "externalProductPair needs one gadget for all halves");
-        HEAP_CHECK(half->rowCount() >= rows,
-                   "gadget ciphertext has too few rows");
     }
-
-    // One decomposition for both products: b's digits (against the
-    // forB halves), then a's (against the forA halves).
-    math::ScratchFrame scratch;
-    auto digits = scratch.borrowSigned(2 * rows * n);
-    std::optional<math::RnsPoly> converted;
-    auto coeffForm = [&](const math::RnsPoly& p) -> const math::RnsPoly& {
-        if (p.domain() == Domain::Coeff) {
-            return p;
-        }
-        converted.emplace(p);
-        converted->toCoeff();
-        return *converted;
-    };
-    decomposeInto(coeffForm(ct.b), gp, digits.first(rows * n));
-    decomposeInto(coeffForm(ct.a), gp, digits.subspan(rows * n));
-
-    std::pair<Ciphertext, Ciphertext> out;
-    for (Ciphertext* c : {&out.first, &out.second}) {
-        c->a = math::RnsPoly(basis, l, Domain::Eval);
-        c->b = math::RnsPoly(basis, l, Domain::Eval);
-    }
-
-    // Per output limb: lift + NTT each digit once into `row`, then
-    // multiply it into the four outputs' 128-bit sums. A product is
-    // below q^2 and a reduced sum below q, so `budget` products on top
-    // of a reduced sum stay below q * 2^64, the reducer's domain; sums
-    // mod q are exact, so reducing once at the end (or whenever the
-    // budget runs out) gives the canonical values externalProduct's
-    // per-product reductions give.
-    auto processLimb = [&](size_t k) {
-        const uint64_t qk = basis->modulus(k);
-        const auto& red = basis->reducer(k);
-        const uint64_t budget = ~uint64_t{0} / qk;
-        const math::KernelOps& ops = math::kernels();
-        math::ScratchFrame inner;
-        auto row = inner.borrow(n);
-        // Construct the uint128 sums in place: [ep0.a | ep0.b | ep1.a |
-        // ep1.b], n each.
-        auto* acc = reinterpret_cast<math::uint128*>(
-            inner.borrow(8 * n).data());
-        std::uninitialized_fill_n(acc, 4 * n, math::uint128{0});
-        uint64_t terms = 0;
-        for (int s = 0; s < 2; ++s) {
-            const GadgetCiphertext& K0 = s == 0 ? C0.forB : C0.forA;
-            const GadgetCiphertext& K1 = s == 0 ? C1.forB : C1.forA;
-            for (size_t i = 0; i < l; ++i) {
-                for (int j = 0; j < d; ++j) {
-                    const size_t r = i * static_cast<size_t>(d)
-                                     + static_cast<size_t>(j);
-                    ops.liftSigned(row.data(),
-                                   digits.data()
-                                       + (static_cast<size_t>(s) * rows + r)
-                                             * n,
-                                   n, qk);
-                    basis->ntt(k).forward(row);
-                    if (terms == budget) {
-                        for (size_t t = 0; t < 4 * n; ++t) {
-                            acc[t] = red.reduce(acc[t]);
-                        }
-                        terms = 0;
-                    }
-                    ++terms;
-                    const Ciphertext& r0 = K0.row(i, j);
-                    const Ciphertext& r1 = K1.row(i, j);
-                    const uint64_t* k0a = r0.a.limb(k).data();
-                    const uint64_t* k0b = r0.b.limb(k).data();
-                    const uint64_t* k1a = r1.a.limb(k).data();
-                    const uint64_t* k1b = r1.b.limb(k).data();
-                    for (size_t t = 0; t < n; ++t) {
-                        const math::uint128 x = row[t];
-                        acc[t] += x * k0a[t];
-                        acc[n + t] += x * k0b[t];
-                        acc[2 * n + t] += x * k1a[t];
-                        acc[3 * n + t] += x * k1b[t];
-                    }
-                }
-            }
-        }
-        uint64_t* dst[4] = {
-            out.first.a.limb(k).data(), out.first.b.limb(k).data(),
-            out.second.a.limb(k).data(), out.second.b.limb(k).data()};
-        for (size_t c = 0; c < 4; ++c) {
-            for (size_t t = 0; t < n; ++t) {
-                dst[c][t] = red.reduce(acc[c * n + t]);
-            }
-        }
-    };
-    if (l >= 2 && n >= 1024) {
-        parallelFor(0, l, 1, processLimb);
-    } else {
-        for (size_t k = 0; k < l; ++k) {
-            processLimb(k);
-        }
-    }
-    return out;
+    auto [ep0, ep1] = gadgetProduct<2, 2>(
+        {{{&ct.b, {&C0.forB, &C1.forB}}, {&ct.a, {&C0.forA, &C1.forA}}}});
+    return {std::move(ep0), std::move(ep1)};
 }
 
 RgswCiphertext

@@ -19,6 +19,11 @@
  * ExternalProduct all reuse this one mechanism — mirroring the paper's
  * observation that the basis-conversion datapath and the
  * ExternalProduct datapath are the same hardware (Section IV-E).
+ * gadgetApply, externalProduct and externalProductPair share one
+ * kernel too: each input is decomposed once, each digit lifted and
+ * forward-NTT'd once per output limb, and each output coefficient
+ * Barrett-reduced once from a 128-bit sum instead of after every
+ * product. Sums mod q are exact, so outputs are canonical.
  */
 
 #ifndef HEAP_RLWE_GADGET_H
@@ -159,10 +164,8 @@ Ciphertext externalProduct(const Ciphertext& ct, const RgswCiphertext& C);
 /**
  * Both external products ct (x) C0 and ct (x) C1 of one ternary CMux
  * step, from a single decomposition of ct: every digit is lifted and
- * forward-NTT'd once and multiplied into both RGSWs, and each output
- * coefficient is Barrett-reduced once from a 128-bit sum instead of
- * after every product. Byte-identical to
- * {externalProduct(ct, C0), externalProduct(ct, C1)}.
+ * forward-NTT'd once and multiplied into both RGSWs. Byte-identical
+ * to {externalProduct(ct, C0), externalProduct(ct, C1)}.
  *
  * @pre C0 and C1 use the same gadget parameters
  */

@@ -65,7 +65,7 @@ struct SubmitOptions {
      * must not call back into the service (the cluster layer uses it
      * for tenant and load bookkeeping only).
      */
-    std::function<void(const RequestReport&, bool ok)> onDone;
+    std::function<void(const RequestReport&, bool ok)> onDone = {};
 };
 
 /** Final per-request accounting, valid once the ticket is done. */

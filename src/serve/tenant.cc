@@ -8,12 +8,6 @@
 
 namespace heap::serve {
 
-TenantRegistry::TenantRegistry(size_t defaultKeyBytes)
-    : defaultKeyBytes_(defaultKeyBytes)
-{
-    HEAP_CHECK(defaultKeyBytes >= 1, "bad default key footprint");
-}
-
 void
 TenantRegistry::registerTenant(TenantSpec spec)
 {
@@ -75,14 +69,6 @@ TenantRegistry::spec(uint64_t id) const
 {
     std::lock_guard<std::mutex> lock(m_);
     return at(id).spec;
-}
-
-size_t
-TenantRegistry::keyBytesFor(uint64_t id) const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    const size_t bytes = at(id).spec.keyBytes;
-    return bytes != 0 ? bytes : defaultKeyBytes_;
 }
 
 std::optional<Admission>

@@ -53,7 +53,8 @@ struct TenantSpec {
     /** Base scheduling priority added to each submission's own. */
     int priority = 0;
     /** Modeled bytes of this tenant's bootstrapping-key set (blind-
-     *  rotate + packing keys); 0 = the registry default. */
+     *  rotate + packing keys); 0 = the cluster's default
+     *  (ClusterConfig::defaultTenantKeyBytes). */
     size_t keyBytes = 0;
 };
 
@@ -85,10 +86,6 @@ struct Admission {
  */
 class TenantRegistry {
   public:
-    /** @param defaultKeyBytes key-footprint charge for tenants whose
-     *         spec leaves keyBytes at 0. */
-    explicit TenantRegistry(size_t defaultKeyBytes = 1);
-
     /** Registers a tenant; throws on a duplicate or invalid spec. */
     void registerTenant(TenantSpec spec);
 
@@ -96,9 +93,6 @@ class TenantRegistry {
     size_t count() const;
     std::vector<uint64_t> tenantIds() const;
     const TenantSpec& spec(uint64_t id) const;
-
-    /** The tenant's key-cache charge (spec or registry default). */
-    size_t keyBytesFor(uint64_t id) const;
 
     /**
      * Quota check + weighted-fair tagging for one request of `items`
@@ -153,7 +147,6 @@ class TenantRegistry {
     TenantStats statsLocked(const State& s) const;
 
     mutable std::mutex m_;
-    size_t defaultKeyBytes_;
     std::unordered_map<uint64_t, State> tenants_;
 };
 

@@ -223,6 +223,17 @@ TEST(DistributedConcurrent, ConcurrentBootstrapCallsAreSerialized)
     EXPECT_EQ(processed, 2u * 48u); // 64 - primary share of 16, twice
 }
 
+TEST_F(DistFixture, ReplicasShareOneKeySet)
+{
+    // Keys are generated once: a replica references its source's key
+    // set and test polynomial instead of copying them.
+    const DistributedBootstrapper replica(dist, 2);
+    EXPECT_EQ(&replica.packingKeys(), &dist.packingKeys());
+    EXPECT_EQ(&replica.bootTestPoly(), &dist.bootTestPoly());
+    const DistributedBootstrapper second(replica, 1);
+    EXPECT_EQ(&second.packingKeys(), &dist.packingKeys());
+}
+
 TEST_F(DistFixture, MatchesSingleProcessResultExactly)
 {
     // Same keys => bit-identical result: rebuild a single-process

@@ -3,7 +3,8 @@
  * Thread-local scratch arena: LIFO frame semantics, span stability
  * across chunk growth, and the no-allocation steady state of the hot
  * paths that borrow from it (rescale, gadget apply / external
- * product, the fused CMux step and blind rotation).
+ * product, the fused CMux step, key switching, CMux and blind
+ * rotation).
  */
 
 #include <gtest/gtest.h>
@@ -93,9 +94,10 @@ TEST(ScratchArena, ArenasAreThreadLocal)
     EXPECT_EQ(42u, mine[0]);
 }
 
-// The tentpole no-allocation guarantee: once the arena has warmed up,
-// repeated passes through the scratch-using hot paths (rescale,
-// external product, fused CMux step, blind rotation) must not grow it.
+// The no-allocation guarantee: once the arena has warmed up, repeated
+// passes through the scratch-using hot paths (rescale, external
+// product, fused CMux step, key switching, CMux, blind rotation) must
+// not grow it.
 TEST(ScratchSteadyState, HotPathsDoNotGrowArenaAfterWarmup)
 {
     const size_t n = 256;
@@ -119,9 +121,13 @@ TEST(ScratchSteadyState, HotPathsDoNotGrowArenaAfterWarmup)
     lwe.a = {5, 0, 300, 511};
     lwe.b = 17;
 
+    const auto ksk = rlwe::makeAutomorphismKey(sk, 5, gadget, rng);
+
     auto pass = [&] {
         auto out = rlwe::externalProduct(ct, C);
         auto pair = rlwe::externalProductPair(ct, C, C);
+        auto switched = rlwe::switchKey(ct, ksk);
+        auto chosen = tfhe::cmux(C, out, pair.first);
         auto acc = tfhe::blindRotate(lwe, f, brk);
         RnsPoly p(basis, 3, Domain::Eval);
         p.rescaleLastLimb();

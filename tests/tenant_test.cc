@@ -25,7 +25,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(TenantRegistry, RegistrationAndSpecLookup)
 {
-    TenantRegistry reg(512);
+    TenantRegistry reg;
     reg.registerTenant({.id = 1, .name = "acme", .weight = 2.0});
     reg.registerTenant(
         {.id = 2, .name = "globex", .priority = 3, .keyBytes = 99});
@@ -35,8 +35,6 @@ TEST(TenantRegistry, RegistrationAndSpecLookup)
     EXPECT_EQ(reg.tenantIds(), (std::vector<uint64_t>{1, 2}));
     EXPECT_EQ(reg.spec(1).name, "acme");
     EXPECT_EQ(reg.spec(2).priority, 3);
-    EXPECT_EQ(reg.keyBytesFor(1), 512u); // registry default
-    EXPECT_EQ(reg.keyBytesFor(2), 99u);  // spec override
 
     EXPECT_THROW(reg.registerTenant({.id = 1}), UserError);
     EXPECT_THROW(reg.registerTenant({.id = 0}), UserError);

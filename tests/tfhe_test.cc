@@ -3,8 +3,9 @@
  * TFHE layer tests: LUT/test-polynomial algebra (exhaustive over all
  * rotation amounts), BlindRotate correctness sweeps, CMux selection,
  * programmable bootstrapping, homomorphic automorphisms, the
- * Chen et al. repacking, and the fused CMux step's identity with two
- * plain external products.
+ * Chen et al. repacking, the fused CMux step's identity with two
+ * plain external products, and every gadget product against a
+ * textbook sum.
  */
 
 #include <cmath>
@@ -335,18 +336,22 @@ oracleBlindRotate(const lwe::LweCiphertext& lwe, const math::RnsPoly& f,
     return acc;
 }
 
+/** Shapes for the lazy-reduction checks. The 62-bit one puts more
+ *  products in every 128-bit sum than fit below q * 2^64, so the
+ *  mid-loop reduction must fire. */
+const FusedShape kFusedShapes[] = {
+    {"bootstrap N=64 4x30b 6x6", 64, 30, 4,
+     {.baseBits = 6, .digitsPerLimb = 6}},
+    {"N=1024 2x30b 10x3", 1024, 30, 2,
+     {.baseBits = 10, .digitsPerLimb = 3}},
+    {"N=64 3x62b 4x16", 64, 62, 3,
+     {.baseBits = 4, .digitsPerLimb = 16}},
+};
+
 TEST(FusedCmuxStep, MatchesTwoExternalProductsWordForWord)
 {
-    const FusedShape shapes[] = {
-        {"bootstrap N=64 4x30b 6x6", 64, 30, 4,
-         {.baseBits = 6, .digitsPerLimb = 6}},
-        {"N=1024 2x30b 10x3", 1024, 30, 2,
-         {.baseBits = 10, .digitsPerLimb = 3}},
-        {"N=64 3x62b 4x16", 64, 62, 3,
-         {.baseBits = 4, .digitsPerLimb = 16}},
-    };
     const size_t lweDim = 6;
-    for (const FusedShape& shape : shapes) {
+    for (const FusedShape& shape : kFusedShapes) {
         const auto basis = std::make_shared<math::RnsBasis>(
             shape.n, math::generateNttPrimes(shape.primeBits, shape.n,
                                              shape.limbs));
@@ -409,6 +414,101 @@ TEST(FusedCmuxStep, MatchesTwoExternalProductsWordForWord)
                           want)
                     << "ct " << c;
                 EXPECT_EQ(ciphertextWords(batch[c]), want) << "ct " << c;
+            }
+        }
+    }
+}
+
+/**
+ * Textbook gadget product, independent of the library's core: each
+ * digit row from gadgetDecompose is embedded with rnsFromSigned,
+ * NTT'd, multiplied pointwise into the key row (one reduction per
+ * product) and added (one reduction per sum).
+ */
+rlwe::Ciphertext
+oracleGadgetApply(const math::RnsPoly& x, const rlwe::GadgetCiphertext& K)
+{
+    math::RnsPoly coeff = x;
+    coeff.toCoeff();
+    const size_t l = coeff.limbCount();
+    const size_t d = static_cast<size_t>(K.params().digitsPerLimb);
+    const auto digits = rlwe::gadgetDecompose(coeff, K.params());
+    const auto basis = x.basisPtr();
+    rlwe::Ciphertext acc(math::RnsPoly(basis, l, math::Domain::Eval),
+                         math::RnsPoly(basis, l, math::Domain::Eval));
+    for (size_t r = 0; r < digits.size(); ++r) {
+        math::RnsPoly digit = math::rnsFromSigned(basis, l, digits[r]);
+        digit.toEval();
+        const rlwe::Ciphertext& row = K.row(r / d, r % d);
+        math::RnsPoly termA = row.a.restrictedTo(l);
+        termA.mulPointwiseInPlace(digit);
+        acc.a.addInPlace(termA);
+        math::RnsPoly termB = row.b.restrictedTo(l);
+        termB.mulPointwiseInPlace(digit);
+        acc.b.addInPlace(termB);
+    }
+    return acc;
+}
+
+rlwe::Ciphertext
+oracleExternalProduct(const rlwe::Ciphertext& ct,
+                      const rlwe::RgswCiphertext& C)
+{
+    rlwe::Ciphertext out = oracleGadgetApply(ct.b, C.forB);
+    out.addInPlace(oracleGadgetApply(ct.a, C.forA));
+    return out;
+}
+
+// Every gadget product entry point runs one lazily reduced core; the
+// textbook sum above reduces after every step, so any lost or extra
+// reduction in the core shows up as a differing word.
+TEST(GadgetProductOracle, EntryPointsMatchTextbookSum)
+{
+    for (const FusedShape& shape : kFusedShapes) {
+        const auto basis = std::make_shared<math::RnsBasis>(
+            shape.n, math::generateNttPrimes(shape.primeBits, shape.n,
+                                             shape.limbs));
+        for (const uint64_t seed : {7ULL, 21ULL, 42ULL}) {
+            SCOPED_TRACE(::testing::Message()
+                         << shape.name << " seed " << seed);
+            Rng rng(seed);
+            const auto sk = rlwe::SecretKey::sampleTernary(basis, rng);
+            const auto C0 =
+                rlwe::rgswEncryptConstant(sk, 1, shape.gadget, rng);
+            const auto C1 =
+                rlwe::rgswEncryptConstant(sk, -1, shape.gadget, rng);
+            std::vector<int64_t> m(shape.n);
+            for (auto& v : m) {
+                v = static_cast<int64_t>(rng.uniform(1 << 20)) - (1 << 19);
+            }
+            auto ct = rlwe::encrypt(
+                sk, math::rnsFromSigned(basis, shape.limbs, m), rng);
+            ASSERT_EQ(ct.domain(), math::Domain::Eval);
+            for (int pass = 0; pass < 2; ++pass) {
+                SCOPED_TRACE(pass == 0 ? "Eval input" : "Coeff input");
+                const auto want0 =
+                    ciphertextWords(oracleExternalProduct(ct, C0));
+                const auto want1 =
+                    ciphertextWords(oracleExternalProduct(ct, C1));
+                EXPECT_EQ(ciphertextWords(rlwe::externalProduct(ct, C0)),
+                          want0);
+                const auto [got0, got1] =
+                    rlwe::externalProductPair(ct, C0, C1);
+                EXPECT_EQ(ciphertextWords(got0), want0);
+                EXPECT_EQ(ciphertextWords(got1), want1);
+                ct.toCoeff();
+            }
+            // gadgetApply takes Coeff input only; check it at the full
+            // basis and one limb down, where the key rows are used
+            // restricted to the input's limbs.
+            math::RnsPoly evalA = ct.a;
+            evalA.toEval();
+            EXPECT_THROW(rlwe::gadgetApply(evalA, C1.forA), UserError);
+            for (const size_t limbs : {shape.limbs, shape.limbs - 1}) {
+                const math::RnsPoly x = ct.a.restrictedTo(limbs);
+                EXPECT_EQ(ciphertextWords(rlwe::gadgetApply(x, C1.forA)),
+                          ciphertextWords(oracleGadgetApply(x, C1.forA)))
+                    << limbs << " limbs";
             }
         }
     }

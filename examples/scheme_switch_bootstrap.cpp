@@ -60,8 +60,8 @@ main()
     const auto& t = boot.lastStepTimes();
     std::printf("bootstrap done in %.0f ms (level %zu restored)\n",
                 total, fresh.level());
-    std::printf("  steps 1-2 ModulusSwitch : %8.2f ms\n"
-                "  step 3 Extract+BlindRot : %8.2f ms  (%.0f%%)\n"
+    std::printf("  steps 1-2 + Extract     : %8.2f ms\n"
+                "  step 3 BlindRotate      : %8.2f ms  (%.0f%%)\n"
                 "  step 3 repack           : %8.2f ms\n"
                 "  steps 4-5 finish        : %8.2f ms\n",
                 t.modSwitchMs, t.blindRotateMs,

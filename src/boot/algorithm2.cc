@@ -1,10 +1,12 @@
 #include "boot/algorithm2.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "ckks/noise.h"
 #include "common/check.h"
+#include "common/parallel.h"
 #include "math/modarith.h"
 
 namespace heap::boot {
@@ -72,6 +74,8 @@ makeBootstrapKeys(const ckks::Context& ctx, rlwe::GadgetParams brGadget)
         ctx.secretKey(), ctx.params().n, ctx.params().gadget, rng,
         ctx.noiseParams());
     keys->testPoly = makeBootstrapTestPoly(ctx.basis());
+    keys->brSigma = tfhe::blindRotateSigma(keys->brk, ctx.basis()->size(),
+                                           ctx.basis()->n());
     return keys;
 }
 
@@ -129,6 +133,43 @@ runFrontPhase(const ckks::Context& ctx, const ckks::Ciphertext& in,
         fp.items.push_back(std::move(ext));
     }
     return fp;
+}
+
+std::vector<rlwe::Ciphertext>
+rotateShares(std::span<const lwe::LweCiphertext> items, size_t shares,
+             size_t inFlight, const ShareRotator& rotate)
+{
+    HEAP_CHECK(!items.empty() && shares >= 1 && inFlight >= 1,
+               "rotateShares needs items, shares and inFlight >= 1");
+    const size_t n = items.size();
+    const size_t share = (n + shares - 1) / shares;
+    const size_t used = (n + share - 1) / share; // non-empty shares
+    std::vector<rlwe::Ciphertext> rotated(n);
+    // Each share writes only its own slice of `rotated`.
+    parallelFor(0, used, (shares + inFlight - 1) / inFlight,
+                [&](size_t k) {
+                    const size_t lo = k * share;
+                    const size_t hi = std::min(n, lo + share);
+                    auto accs = rotate(k, items.subspan(lo, hi - lo));
+                    HEAP_ASSERT(accs.size() == hi - lo,
+                                "share " << k << " lost accumulators");
+                    std::move(accs.begin(), accs.end(),
+                              rotated.begin() + lo);
+                });
+    return rotated;
+}
+
+ckks::Ciphertext
+runFinishPhase(const ckks::Context& ctx, const BootstrapKeys& keys,
+               const ckks::Ciphertext& in, rlwe::Ciphertext ctKq,
+               const ModSwitched& ms)
+{
+    const auto basis = ctx.basis();
+    ckks::Ciphertext out =
+        finishBootstrap(std::move(ctKq), ms, *basis, in.scale, in.slots);
+    out.budget = bootstrapOutputBudget(ctx, in, keys.brSigma, *basis);
+    ctx.noiseGuardCheck(out, "bootstrap");
+    return out;
 }
 
 void

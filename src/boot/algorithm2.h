@@ -1,16 +1,20 @@
 /**
  * @file
- * Shared pieces of Algorithm 2 used by both the single-process
- * bootstrapper (scheme_switch.h) and the distributed multi-node
- * protocol (distributed.h): the bootstrapping key set, the
- * exact-division modulus switch (steps 1-2), the pre-scaled triangle
- * test polynomial, and the finishing arithmetic (steps 4-5).
+ * Algorithm 2, written once: the bootstrapping key set, the front
+ * phase (steps 1-2 plus extraction), the rotate loop over contiguous
+ * shares (step 3a), and the finish phase (steps 4-5 plus the output
+ * budget). The single-process bootstrapper (scheme_switch.h), the
+ * distributed protocol (distributed.h) and the serving runtime
+ * (serve/service.h) are drivers of these pieces; only the repack
+ * (tfhe::packRlwes) stays at each call site, so drivers can time it.
  */
 
 #ifndef HEAP_BOOT_ALGORITHM2_H
 #define HEAP_BOOT_ALGORITHM2_H
 
+#include <functional>
 #include <memory>
+#include <span>
 
 #include "ckks/context.h"
 #include "lwe/lwe.h"
@@ -37,6 +41,9 @@ struct BootstrapKeys {
     tfhe::BlindRotateKey brk;    ///< RGSW of each ring-secret coefficient
     tfhe::PackingKeys packing;   ///< repacking automorphism keys
     math::RnsPoly testPoly;      ///< makeBootstrapTestPoly(basis)
+    /** Predicted accumulator error of one blind rotation under brk
+     *  (tfhe::blindRotateSigma over the full basis). */
+    double brSigma = 0;
 };
 
 /**
@@ -99,6 +106,40 @@ struct FrontPhase {
 FrontPhase runFrontPhase(const ckks::Context& ctx,
                          const ckks::Ciphertext& in,
                          double minBudgetBits, const char* who);
+
+/** Blind-rotates one contiguous share of the items, returning its
+ *  accumulators in item order. */
+using ShareRotator = std::function<std::vector<rlwe::Ciphertext>(
+    size_t share, std::span<const lwe::LweCiphertext> items)>;
+
+/**
+ * Step 3a, the rotate loop of every bootstrap driver: cuts `items`
+ * into `shares` contiguous spans of ceil(n / shares) items (Section
+ * V's even split; empty trailing spans are skipped), runs
+ * rotate(k, span k) under one parallelFor with at most `inFlight`
+ * spans at a time, and returns all accumulators in item order. The
+ * result is independent of `shares` and `inFlight` whenever `rotate`
+ * is (blind rotation draws no randomness).
+ */
+std::vector<rlwe::Ciphertext> rotateShares(
+    std::span<const lwe::LweCiphertext> items, size_t shares,
+    size_t inFlight, const ShareRotator& rotate);
+
+/**
+ * The finish phase as one unit: finishBootstrap on the repacked
+ * accumulators, the analytic output budget from keys.brSigma, and the
+ * context's noise-guard check. The budget never depends on how the
+ * rotations ran, so every driver returns byte-identical outputs.
+ *
+ * @param in    the bootstrap's input (scale, slots and budget)
+ * @param ctKq  tfhe::packRlwes of the accumulators, in item order
+ * @param ms    the front phase's modulus-switch artifacts
+ */
+ckks::Ciphertext runFinishPhase(const ckks::Context& ctx,
+                                const BootstrapKeys& keys,
+                                const ckks::Ciphertext& in,
+                                rlwe::Ciphertext ctKq,
+                                const ModSwitched& ms);
 
 /**
  * Input validation for bootstrap(): if `in` carries a tracked budget

@@ -5,7 +5,6 @@
 
 #include "ckks/serialize.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/vtime.h"
 #include "lwe/serialize.h"
 
@@ -276,13 +275,6 @@ DistributedBootstrapper::setRetryPolicy(const RetryPolicy& policy)
     retry_ = policy;
 }
 
-double
-DistributedBootstrapper::bootBlindRotateSigma() const
-{
-    const auto basis = ctx_->basis();
-    return tfhe::blindRotateSigma(keys_->brk, basis->size(), basis->n());
-}
-
 std::vector<rlwe::Ciphertext>
 DistributedBootstrapper::rotateLocal(
     std::span<const lwe::LweCiphertext> lwes) const
@@ -309,15 +301,13 @@ DistributedBootstrapper::exchangeRotate(
     HEAP_CHECK(!lwes.empty(), "empty batch");
     const size_t outBytesBefore = out_[s].bytesTransferred();
     const size_t inBytesBefore = in_[s].bytesTransferred();
-    const size_t expected = lwes.size();
     ByteWriter pw;
     pw.u64(lwes.size());
     for (const auto& ct : lwes) {
         lwe::saveLwe(ct, pw);
     }
-    const std::vector<uint8_t>& payload = pw.bytes();
-    const auto framed = frameMessage(FrameType::Batch, seq, payload);
-    std::vector<rlwe::Ciphertext> rotated(expected);
+    const auto framed = frameMessage(FrameType::Batch, seq, pw.bytes());
+    std::vector<rlwe::Ciphertext> rotated;
 
     // The secondary's protocol state for this bootstrap: framed
     // replies cached by sequence number, so duplicated or NACKed
@@ -410,12 +400,9 @@ DistributedBootstrapper::exchangeRotate(
                     ++st.duplicateFrames;
                     continue;
                 }
-                auto accs = loadAccumulatorReply(f.payload, expected,
-                                                 ctx_->basis());
+                rotated = loadAccumulatorReply(f.payload, lwes.size(),
+                                               ctx_->basis());
                 st.accBytesIn += msg->size();
-                for (size_t i = 0; i < accs.size(); ++i) {
-                    rotated[i] = std::move(accs[i]);
-                }
                 accepted = true;
             }
             return accepted || resendNow;
@@ -429,10 +416,7 @@ DistributedBootstrapper::exchangeRotate(
         // Reclaim its share on the primary — correct result, slower
         // wall-clock — exactly as a lost FPGA would be absorbed.
         st.dead = true;
-        auto accs = tfhe::blindRotateBatch(lwes, keys_->testPoly, keys_->brk);
-        for (size_t i = 0; i < accs.size(); ++i) {
-            rotated[i] = std::move(accs[i]);
-        }
+        rotated = rotateLocal(lwes);
     }
     st.wireOut = out_[s].bytesTransferred() - outBytesBefore;
     st.wireIn = in_[s].bytesTransferred() - inBytesBefore;
@@ -465,84 +449,32 @@ DistributedBootstrapper::bootstrap(const ckks::Ciphertext& in) const
     // Links, traffic counters, and fault RNG streams are per-object
     // state: concurrent bootstrap() calls serialize here.
     std::lock_guard<std::mutex> bootLock(bootMutex_);
-    const auto basis = ctx_->basis();
-    const size_t n = basis->n();
-
-    // Steps 1-2 + extraction on the primary (the same front phase the
-    // serving runtime's pipeline stage runs).
-    FrontPhase fp = runFrontPhase(*ctx_, in, 1.0,
-                                  "distributed bootstrap");
-    const ModSwitched& ms = fp.ms;
+    const FrontPhase fp =
+        runFrontPhase(*ctx_, in, 1.0, "distributed bootstrap");
 
     // Fresh protocol run: drop anything a previous run left queued
     // (late duplicates, delayed frames) and restart the per-link fault
     // streams from seeds derived off the spec seed, the link index,
     // and the run ordinal.
     resetProtocolRun();
-    const size_t nsec = nodes_.size();
 
-    // Partition the N extracted ciphertexts evenly over all nodes;
-    // the primary keeps the first share (Section V).
-    const size_t nodesTotal = nsec + 1;
-    const size_t share = (n + nodesTotal - 1) / nodesTotal;
+    // The N items split evenly over the primary (lane 0) and the
+    // secondaries (Section V), all lanes concurrent when workers_ > 1.
+    // Each exchange touches only its own links, node and stats slot,
+    // and stats are reduced serially below, so the accounting is exact
+    // and identical for every worker count. seq = lane: nonzero for
+    // every exchange, and unique per link pair within a run.
+    const size_t lanes = nodes_.size() + 1;
+    std::vector<ExchangeStats> stats(lanes);
+    const std::vector<rlwe::Ciphertext> rotated = rotateShares(
+        fp.items, lanes, workers_,
+        [&](size_t lane, std::span<const lwe::LweCiphertext> share) {
+            return rotateLane(lane, lane, share, stats[lane]);
+        });
     traffic_ = DistributedTraffic{};
-
-    // Slice one LWE batch per secondary off the extracted items
-    // (unframed; the exchange serializes and frames it with this
-    // batch's sequence number).
-    struct Plan {
-        size_t begin = 0, end = 0;
-        std::vector<lwe::LweCiphertext> lwes;
-    };
-    std::vector<Plan> plans(nsec);
-    for (size_t s = 0; s < nsec; ++s) {
-        const size_t begin = std::min(n, (s + 1) * share);
-        const size_t end = std::min(n, (s + 2) * share);
-        if (begin >= end) {
-            continue;
-        }
-        Plan plan{begin, end, {}};
-        plan.lwes.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-            plan.lwes.push_back(std::move(fp.items[i]));
-        }
-        plans[s] = std::move(plan);
-        ++traffic_.batches;
-    }
-
-    // Primary's own share computes while the secondaries work.
-    std::vector<rlwe::Ciphertext> rotated(n);
-    {
-        std::vector<lwe::LweCiphertext> mine;
-        mine.reserve(std::min(n, share));
-        for (size_t i = 0; i < std::min(n, share); ++i) {
-            mine.push_back(std::move(fp.items[i]));
-        }
-        auto accs = rotateLocal(mine);
-        for (size_t i = 0; i < accs.size(); ++i) {
-            rotated[i] = std::move(accs[i]);
-        }
-    }
-
-    // Per-secondary exchanges run concurrently when workers_ > 1 (the
-    // paper's nodes are physically parallel). Each exchange touches
-    // only its own links, node, stats slot, and slice of rotated;
-    // stats are reduced serially below, so the accounting is exact
-    // and identical for every worker count.
-    std::vector<ExchangeStats> stats(nsec);
-    const size_t grain = (nsec + workers_ - 1) / workers_;
-    parallelFor(0, nsec, grain, [&](size_t s) {
-        const Plan& plan = plans[s];
-        if (plan.begin >= plan.end) {
-            return;
-        }
-        // seq = s + 1: nonzero, and unique per link pair within a run.
-        auto accs = exchangeRotate(s, s + 1, plan.lwes, stats[s]);
-        for (size_t i = 0; i < accs.size(); ++i) {
-            rotated[plan.begin + i] = std::move(accs[i]);
-        }
-    });
     for (const ExchangeStats& st : stats) {
+        // Every exchange puts at least its batch frame on the wire.
+        traffic_.batches += st.wireOut > 0 ? 1 : 0;
         traffic_.lweBytesOut += st.lweBytesOut;
         traffic_.accBytesIn += st.accBytesIn;
         traffic_.wireBytesOut += st.wireOut;
@@ -557,17 +489,8 @@ DistributedBootstrapper::bootstrap(const ckks::Ciphertext& in) const
         }
     }
 
-    // Repack + finish on the primary. The output budget is computed
-    // analytically on the primary alone, so it is byte-identical
-    // regardless of link faults, retries, or reclaimed shares.
     rlwe::Ciphertext ctKq = tfhe::packRlwes(rotated, keys_->packing);
-    ckks::Ciphertext out = finishBootstrap(std::move(ctKq), ms, *basis,
-                                           in.scale, in.slots);
-    out.budget = bootstrapOutputBudget(
-        *ctx_, in, tfhe::blindRotateSigma(keys_->brk, basis->size(), n),
-        *basis);
-    ctx_->noiseGuardCheck(out, "bootstrap");
-    return out;
+    return runFinishPhase(*ctx_, *keys_, in, std::move(ctKq), fp.ms);
 }
 
 } // namespace heap::boot

@@ -258,7 +258,8 @@ class DistributedBootstrapper {
     ckks::Ciphertext bootstrap(const ckks::Ciphertext& in) const;
 
     /**
-     * Number of host threads driving secondary batches concurrently
+     * Number of host threads driving the rotate lanes (the
+     * primary's share and each secondary's batch) concurrently
      * (default 1 = the serial reference schedule). Traffic counters
      * and outputs are identical for every worker count.
      */
@@ -283,12 +284,12 @@ class DistributedBootstrapper {
     const DistributedTraffic& lastTraffic() const { return traffic_; }
     const SecondaryNode& node(size_t i) const { return *nodes_[i]; }
     const ckks::Context& context() const { return *ctx_; }
+    const BootstrapKeys& keys() const { return *keys_; }
     const tfhe::PackingKeys& packingKeys() const { return keys_->packing; }
-    const math::RnsPoly& bootTestPoly() const { return keys_->testPoly; }
 
     /** Predicted accumulator error stddev of one blind rotation with
      *  this object's keys (feeds bootstrapOutputBudget). */
-    double bootBlindRotateSigma() const;
+    double bootBlindRotateSigma() const { return keys_->brSigma; }
 
     // --- batch-level protocol API (used by bootstrap() itself and by
     // --- the serving layer, serve::BootstrapService) -----------------
@@ -313,6 +314,21 @@ class DistributedBootstrapper {
     /** Blind-rotates a batch on the primary (no links involved). */
     std::vector<rlwe::Ciphertext> rotateLocal(
         std::span<const lwe::LweCiphertext> lwes) const;
+
+    /**
+     * One rotate lane: lane 0 is the primary (rotateLocal; `seq` and
+     * `st` are unused), lane k > 0 is secondary k - 1
+     * (exchangeRotate under `seq`). bootstrap() and the serving
+     * layer's batch dispatch both rotate through this call.
+     */
+    std::vector<rlwe::Ciphertext>
+    rotateLane(size_t lane, uint64_t seq,
+               std::span<const lwe::LweCiphertext> lwes,
+               ExchangeStats& st) const
+    {
+        return lane == 0 ? rotateLocal(lwes)
+                         : exchangeRotate(lane - 1, seq, lwes, st);
+    }
 
     /**
      * Starts a fresh protocol run: drops anything a previous run left

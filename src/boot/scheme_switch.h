@@ -18,8 +18,9 @@
  * blind-rotate + repack noise.
  *
  * Every coefficient's BlindRotate is independent — the source of the
- * paper's multi-FPGA parallelism — and is exposed here as a job list
- * executed on a configurable worker pool.
+ * paper's multi-FPGA parallelism — so the N rotations are cut into
+ * contiguous shares that run concurrently on the process-wide pool,
+ * each share key-major (Section IV-E).
  *
  * Functional-scope note (see DESIGN.md): the functional path extracts
  * with the full ring secret (n_t = N, no intermediate LWE key switch),
@@ -40,8 +41,8 @@ namespace heap::boot {
 
 /** Wall-clock split of the last bootstrap (mirrors Section VI-E). */
 struct BootstrapStepTimes {
-    double modSwitchMs = 0;   ///< Algorithm 2 steps 1-2
-    double blindRotateMs = 0; ///< step 3 (extract + N blind rotations)
+    double modSwitchMs = 0;   ///< Algorithm 2 steps 1-2 + extraction
+    double blindRotateMs = 0; ///< step 3 (N blind rotations)
     double repackMs = 0;      ///< step 3 (repacking)
     double finishMs = 0;      ///< steps 4-5
 };
@@ -73,20 +74,12 @@ class SchemeSwitchBootstrapper {
 
     /**
      * Number of parallel blind-rotate shares (default 1 = serial).
-     * Shares execute on the process-wide pool (common/parallel.h);
-     * results are byte-identical for every worker count.
+     * Shares execute on the process-wide pool (common/parallel.h),
+     * each rotated key-major (tfhe::blindRotateBatch); results are
+     * byte-identical for every worker count.
      */
     void setWorkers(size_t workers);
     size_t workers() const { return workers_; }
-
-    /** Blind-rotation scheduling (Section IV-E). */
-    enum class Schedule {
-        PerCiphertext, ///< finish each ciphertext before the next
-        KeyMajor       ///< one brk key serves all ciphertexts, then
-                       ///< the next key (single-worker only)
-    };
-    void setSchedule(Schedule s);
-    Schedule schedule() const { return schedule_; }
 
     const BootstrapStepTimes& lastStepTimes() const { return times_; }
 
@@ -97,7 +90,6 @@ class SchemeSwitchBootstrapper {
     const ckks::Context* ctx_;
     std::shared_ptr<const BootstrapKeys> keys_;
     size_t workers_ = 1;
-    Schedule schedule_ = Schedule::PerCiphertext;
     mutable BootstrapStepTimes times_;
 };
 

@@ -9,8 +9,7 @@ namespace {
 /** One bootstrap: the input, then its front-phase state. */
 struct BootRequest : TicketedRequest<ckks::Ciphertext> {
     ckks::Ciphertext input;
-    boot::ModSwitched ms;
-    std::vector<lwe::LweCiphertext> lwes; ///< extracted items
+    boot::FrontPhase fp;
     std::vector<rlwe::Ciphertext> rotated;
 };
 
@@ -99,12 +98,10 @@ BootstrapService::front(PodRequest& req)
     // bootstrap() runs on the primary (boot layer owns the single
     // implementation — byte-identity by construction).
     BootRequest& p = boot(req);
-    boot::FrontPhase fp = boot::runFrontPhase(dist_->context(), p.input,
-                                              1.0, "serve bootstrap");
-    p.ms = std::move(fp.ms);
-    p.lwes = std::move(fp.items);
-    p.rotated.resize(p.lwes.size());
-    return p.lwes.size();
+    p.fp = boot::runFrontPhase(dist_->context(), p.input, 1.0,
+                               "serve bootstrap");
+    p.rotated.resize(p.fp.items.size());
+    return p.rotated.size();
 }
 
 BatchTraffic
@@ -113,16 +110,11 @@ BootstrapService::runBatch(size_t lane, const std::vector<ItemRef>& items)
     std::vector<lwe::LweCiphertext> lwes;
     lwes.reserve(items.size());
     for (const ItemRef& r : items) {
-        lwes.push_back(std::move(boot(*r.req).lwes[r.index]));
+        lwes.push_back(std::move(boot(*r.req).fp.items[r.index]));
     }
-    // Lane 0 rotates on the primary; lane k > 0 exchanges with
-    // secondary k - 1 over its link.
     boot::ExchangeStats st{};
-    std::vector<rlwe::Ciphertext> accs =
-        lane == 0 ? dist_->rotateLocal(lwes)
-                  : dist_->exchangeRotate(
-                        lane - 1, seq_.fetch_add(1, std::memory_order_relaxed),
-                        lwes, st);
+    std::vector<rlwe::Ciphertext> accs = dist_->rotateLane(
+        lane, seq_.fetch_add(1, std::memory_order_relaxed), lwes, st);
     for (size_t i = 0; i < items.size(); ++i) {
         boot(*items[i].req).rotated[items[i].index] = std::move(accs[i]);
     }
@@ -132,26 +124,20 @@ BootstrapService::runBatch(size_t lane, const std::vector<ItemRef>& items)
 void
 BootstrapService::finish(PodRequest& req)
 {
-    // Steps 3-5 tail, identical to the sequential path: the repack
+    // The sequential path's repack and finish phase: the repack
     // consumes the accumulators in extraction order and the output
-    // budget is computed analytically, so the result does not depend
-    // on batch shape, lane, worker count, or link faults.
+    // budget is analytic, so the result does not depend on batch
+    // shape, lane, worker count, or link faults.
     BootRequest& p = boot(req);
     const ckks::Context& ctx = dist_->context();
-    const auto basis = ctx.basis();
     rlwe::Ciphertext ctKq = tfhe::packRlwes(p.rotated, dist_->packingKeys());
-    ckks::Ciphertext out = boot::finishBootstrap(
-        std::move(ctKq), p.ms, *basis, p.input.scale, p.input.slots);
-    out.budget = boot::bootstrapOutputBudget(
-        ctx, p.input, dist_->bootBlindRotateSigma(), *basis);
-    ctx.noiseGuardCheck(out, "bootstrap");
-    const double budgetBits = ctx.noiseBudgetBits(out);
-    const double precisionBits = ctx.noisePrecisionBits(out);
+    ckks::Ciphertext out = boot::runFinishPhase(
+        ctx, dist_->keys(), p.input, std::move(ctKq), p.fp.ms);
+    p.budgetBits = ctx.noiseBudgetBits(out);
+    p.precisionBits = ctx.noisePrecisionBits(out);
+    p.guardTripped = p.budgetBits <= 0
+                     || p.precisionBits <= ctx.noiseGuard().minPrecisionBits;
     p.result = std::move(out);
-    p.budgetBits = budgetBits;
-    p.precisionBits = precisionBits;
-    p.guardTripped = budgetBits <= 0
-                     || precisionBits <= ctx.noiseGuard().minPrecisionBits;
 }
 
 } // namespace heap::serve

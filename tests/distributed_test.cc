@@ -229,35 +229,42 @@ TEST_F(DistFixture, ReplicasShareOneKeySet)
     // set and test polynomial instead of copying them.
     const DistributedBootstrapper replica(dist, 2);
     EXPECT_EQ(&replica.packingKeys(), &dist.packingKeys());
-    EXPECT_EQ(&replica.bootTestPoly(), &dist.bootTestPoly());
+    EXPECT_EQ(&replica.keys(), &dist.keys());
     const DistributedBootstrapper second(replica, 1);
     EXPECT_EQ(&second.packingKeys(), &dist.packingKeys());
 }
 
 TEST_F(DistFixture, MatchesSingleProcessResultExactly)
 {
-    // Same keys => bit-identical result: rebuild a single-process
-    // bootstrapper from an identically-seeded context.
-    ckks::Context ctx2(distParams(), 909);
-    ckks::Evaluator ev2(ctx2);
-    DistributedBootstrapper dist2(
-        ctx2, 3, rlwe::GadgetParams{.baseBits = 6, .digitsPerLimb = 6});
-
-    std::vector<ckks::Complex> z(16, ckks::Complex(0.33, 0.44));
-    auto ct1 = ctx.encrypt(std::span<const ckks::Complex>(z));
-    // The contexts consumed identical randomness, so ciphertexts and
-    // keys coincide; distributing over 7 vs 3 secondaries must not
-    // change a single bit of the output.
-    auto ct2 = ctx2.encrypt(std::span<const ckks::Complex>(z));
-    ev.dropToLevel(ct1, 1);
-    ev2.dropToLevel(ct2, 1);
-    const auto out1 = dist.bootstrap(ct1);
-    const auto out2 = dist2.bootstrap(ct2);
-    for (size_t i = 0; i < out1.ct.limbCount(); ++i) {
-        EXPECT_TRUE(std::equal(out1.ct.b.limb(i).begin(),
-                               out1.ct.b.limb(i).end(),
-                               out2.ct.b.limb(i).begin()))
-            << "limb " << i;
+    // Same seed => same keys and ciphertexts: the distributed protocol
+    // over 7 or 3 secondaries and the single-process bootstrapper at 1
+    // or 4 workers must serialize to the same bytes.
+    const rlwe::GadgetParams brGadget{.baseBits = 6, .digitsPerLimb = 6};
+    const std::vector<ckks::Complex> z(16, ckks::Complex(0.33, 0.44));
+    auto levelOne = [&](const ckks::Context& seeded) {
+        auto ct = seeded.encrypt(std::span<const ckks::Complex>(z));
+        ckks::Evaluator(seeded).dropToLevel(ct, 1);
+        return ct;
+    };
+    for (const uint64_t seed : {7u, 21u, 42u}) {
+        std::vector<std::vector<uint8_t>> outs;
+        for (const size_t secondaries : {7u, 3u}) {
+            ckks::Context seeded(distParams(), seed);
+            DistributedBootstrapper multi(seeded, secondaries, brGadget);
+            outs.push_back(ckks::saveCiphertext(
+                multi.bootstrap(levelOne(seeded))));
+        }
+        for (const size_t workers : {1u, 4u}) {
+            ckks::Context seeded(distParams(), seed);
+            SchemeSwitchBootstrapper single(seeded, brGadget);
+            single.setWorkers(workers);
+            outs.push_back(ckks::saveCiphertext(
+                single.bootstrap(levelOne(seeded))));
+        }
+        for (size_t i = 1; i < outs.size(); ++i) {
+            EXPECT_TRUE(outs[i] == outs[0])
+                << "seed " << seed << ", run " << i;
+        }
     }
 }
 

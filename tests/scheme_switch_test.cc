@@ -7,6 +7,7 @@
  * repack noise floor.
  */
 
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -188,26 +189,6 @@ TEST_P(BootSeedSweep, MessageSurvivesAcrossKeysAndMessages)
 INSTANTIATE_TEST_SUITE_P(Seeds, BootSeedSweep,
                          ::testing::Values(11u, 222u, 3333u));
 
-TEST_F(BootFixture, KeyMajorScheduleIsBitIdentical)
-{
-    std::vector<ckks::Complex> z(8, ckks::Complex(-0.3, 0.6));
-    auto ct = ctx.encrypt(std::span<const ckks::Complex>(z));
-    ev.dropToLevel(ct, 1);
-    const auto perCt = boot.bootstrap(ct);
-    boot.setSchedule(SchemeSwitchBootstrapper::Schedule::KeyMajor);
-    const auto keyMajor = boot.bootstrap(ct);
-    boot.setSchedule(SchemeSwitchBootstrapper::Schedule::PerCiphertext);
-    for (size_t i = 0; i < perCt.ct.limbCount(); ++i) {
-        EXPECT_TRUE(std::equal(perCt.ct.b.limb(i).begin(),
-                               perCt.ct.b.limb(i).end(),
-                               keyMajor.ct.b.limb(i).begin()));
-    }
-    // The two schedules cannot be combined with multi-worker fan-out.
-    boot.setSchedule(SchemeSwitchBootstrapper::Schedule::KeyMajor);
-    EXPECT_THROW(boot.setWorkers(4), UserError);
-    boot.setSchedule(SchemeSwitchBootstrapper::Schedule::PerCiphertext);
-}
-
 TEST_F(BootFixture, RejectsHighLevelInput)
 {
     std::vector<ckks::Complex> z(8, ckks::Complex(0.5, 0));
@@ -217,13 +198,17 @@ TEST_F(BootFixture, RejectsHighLevelInput)
 
 TEST_F(BootFixture, KeyBytesAccounting)
 {
-    // 2 * N RGSW keys + log2(N) packing keys; just sanity-check the
-    // order of magnitude and positivity.
-    EXPECT_GT(boot.keyBytes(), 0u);
+    // The row sum of the generated keys: 2N blind-rotate RGSWs of two
+    // gadget halves with limbs * 6 rows each, plus log2(N) packing
+    // keys with limbs * 4 rows (the context gadget), every row two
+    // full-basis polynomials. 14,376,960 B at this shape.
     const size_t n = ctx.params().n;
     const size_t limbs = ctx.basis()->size();
-    const size_t polyBytes = n * limbs * 8;
-    EXPECT_GE(boot.keyBytes(), 2 * n * polyBytes);
+    const size_t rowBytes = 2 * n * limbs * sizeof(uint64_t);
+    const size_t rgswBytes = 2 * limbs * 6 * rowBytes;
+    const size_t packingKeys = static_cast<size_t>(std::countr_zero(n));
+    EXPECT_EQ(boot.keyBytes(),
+              2 * n * rgswBytes + packingKeys * limbs * 4 * rowBytes);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include "math/kernels.h"
 
+#include <memory>
+
 namespace heap::math {
 
 // ---------------------------------------------------------------------
@@ -77,6 +79,71 @@ detail::nttInverseScalarLazy(uint64_t* a, const NttTablesView& t)
         const uint64_t x = mulModShoupLazy(a[i], t.ipsiScaled[i],
                                            t.ipsiScaledShoup[i], q);
         a[i] = x >= q ? x - q : x;
+    }
+}
+
+namespace {
+
+/** Sum c += row * keys[c], 128 bits per coefficient; Sums is a
+ *  constant so the c loop unrolls to one mulq/add/adc per sum. */
+template <size_t Sums>
+void
+macRowsScalar(uint128* sum, const uint64_t* row,
+              const uint64_t* const* keys, size_t n)
+{
+    for (size_t t = 0; t < n; ++t) {
+        const uint128 x = row[t];
+        for (size_t c = 0; c < Sums; ++c) {
+            sum[c * n + t] += x * keys[c][t];
+        }
+    }
+}
+
+} // namespace
+
+// The scalar sums are uint128, sum c at words [2cn, 2cn + 2n). A
+// product is below q^2 and a reduced sum below q, so m products on top
+// of a reduced sum stay below q * 2^64, the reducer's domain, while
+// m * q < 2^64: the budget is floor((2^64 - 1) / q), tested without a
+// divide.
+void
+detail::macLazyScalar(uint64_t* acc, uint64_t& terms, const uint64_t* row,
+                      const uint64_t* const* keys, size_t sums, size_t n,
+                      const BarrettReducer& red)
+{
+    auto* sum = reinterpret_cast<uint128*>(acc);
+    if (terms == 0) {
+        std::uninitialized_fill_n(sum, sums * n, uint128{0});
+    } else if ((static_cast<uint128>(terms + 1) * red.modulus()) >> 64) {
+        for (size_t i = 0; i < sums * n; ++i) {
+            sum[i] = red.reduce(sum[i]);
+        }
+        terms = 0;
+    }
+    ++terms;
+    switch (sums) {
+    case 2:
+        macRowsScalar<2>(sum, row, keys, n);
+        break;
+    case 4:
+        macRowsScalar<4>(sum, row, keys, n);
+        break;
+    default:
+        for (size_t c = 0; c < sums; ++c) {
+            macRowsScalar<1>(sum + c * n, row, keys + c, n);
+        }
+    }
+}
+
+void
+detail::macReduceScalar(uint64_t* const* dst, const uint64_t* acc,
+                        size_t sums, size_t n, const BarrettReducer& red)
+{
+    const auto* sum = reinterpret_cast<const uint128*>(acc);
+    for (size_t c = 0; c < sums; ++c) {
+        for (size_t t = 0; t < n; ++t) {
+            dst[c][t] = red.reduce(sum[c * n + t]);
+        }
     }
 }
 
@@ -171,6 +238,8 @@ makeScalarOps()
     ops.mulScalarShoup = &mulScalarShoupScalar;
     ops.mulScalarShoupAccum = &mulScalarShoupAccumScalar;
     ops.liftSigned = &liftSignedScalar;
+    ops.macLazy = &detail::macLazyScalar;
+    ops.macReduce = &detail::macReduceScalar;
     return ops;
 }
 

@@ -15,8 +15,14 @@
  *    the inverse (Cooley-Tukey) stages, exploiting the q < 2^62
  *    headroom guaranteed by modarith.h — and normalized exactly once
  *    in the final twist pass;
- *  - every variant (scalar / AVX2 / NEON) produces byte-identical
- *    output; tests/simd_equivalence_test.cc enforces this.
+ *  - the gadget-product multiply-accumulate (macLazy/macReduce) keeps
+ *    unreduced sums between calls, in a layout each variant owns, and
+ *    reduces them exactly: its canonical outputs do not depend on the
+ *    variant or on where its budget forced a mid-loop reduction;
+ *  - every variant (scalar / AVX2 / AVX-512, whose table takes the
+ *    IFMA NTT and MAC bodies when the CPU has avx512ifma / NEON)
+ *    produces byte-identical output, MAC included;
+ *    tests/simd_equivalence_test.cc enforces this.
  *
  * Use kernels() for the process-wide dispatched table (selected once
  * via math/simd.h) or kernelsForLevel() to pin a specific variant
@@ -103,6 +109,23 @@ struct KernelOps {
      */
     void (*liftSigned)(uint64_t* dst, const int64_t* a, size_t n,
                        uint64_t q);
+    /**
+     * The gadget product's multiply-accumulate (rlwe/gadget.cc): adds
+     * row[t] * keys[c][t] into lazy sum c, for c < sums and t < n.
+     * The sums live in acc, 2 * sums * n words laid out by the
+     * variant (per q: a variant hands moduli it cannot take to the
+     * scalar body), so only macLazy and macReduce read them. `terms`
+     * counts the rows added since the sums were last reduced: 0
+     * starts empty sums, and when it reaches the variant's budget for
+     * q the sums are reduced in place before the row is added.
+     * @pre row[t] < q and keys[c][t] < q.
+     */
+    void (*macLazy)(uint64_t* acc, uint64_t& terms, const uint64_t* row,
+                    const uint64_t* const* keys, size_t sums, size_t n,
+                    const BarrettReducer& red);
+    /** dst[c][t] = lazy sum c at t mod q, for the sums of macLazy. */
+    void (*macReduce)(uint64_t* const* dst, const uint64_t* acc,
+                      size_t sums, size_t n, const BarrettReducer& red);
 };
 
 /** The process-wide table, selected once per activeSimdLevel(). */
@@ -123,6 +146,14 @@ namespace detail {
  *  SIMD variants; byte-identical to the dispatched output). */
 void nttForwardScalarLazy(uint64_t* a, const NttTablesView& t);
 void nttInverseScalarLazy(uint64_t* a, const NttTablesView& t);
+
+/** Portable 128-bit MAC bodies (the fallback of the SIMD variants
+ *  for moduli they cannot take; see KernelOps::macLazy). */
+void macLazyScalar(uint64_t* acc, uint64_t& terms, const uint64_t* row,
+                   const uint64_t* const* keys, size_t sums, size_t n,
+                   const BarrettReducer& red);
+void macReduceScalar(uint64_t* const* dst, const uint64_t* acc,
+                     size_t sums, size_t n, const BarrettReducer& red);
 
 } // namespace detail
 
@@ -150,6 +181,19 @@ namespace detail {
  */
 void nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t);
 void nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t);
+/**
+ * IFMA MAC bodies: each sum is a lo and a hi 64-bit lane per
+ * coefficient, lo += low52(x * k) and hi += high52(x * k), so the
+ * value is lo + hi * 2^52 (exact for q < 2^kIfmaMacModulusBits; other
+ * moduli and n % 8 != 0 run the scalar body). The AVX-512 table
+ * installs them after the same avx512ifma cpuid check.
+ */
+void macLazyAvx512Ifma(uint64_t* acc, uint64_t& terms,
+                       const uint64_t* row, const uint64_t* const* keys,
+                       size_t sums, size_t n, const BarrettReducer& red);
+void macReduceAvx512Ifma(uint64_t* const* dst, const uint64_t* acc,
+                         size_t sums, size_t n,
+                         const BarrettReducer& red);
 } // namespace detail
 #endif
 

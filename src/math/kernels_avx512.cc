@@ -331,7 +331,9 @@ installAvx512Kernels(KernelOps& ops)
 {
     // mulMod/mulModAccum stay scalar: the 128-bit Barrett chain maps
     // to 1-cycle mulx scalar code but needs 4 emulated 64-bit high
-    // multiplies per vector — measured slower than scalar here.
+    // multiplies per vector — measured slower than scalar here. The
+    // MAC needs no reduction per product, so IFMA (52x52-bit products
+    // split into two lanes) takes it when the CPU has the units.
     ops.nttForward = &nttForwardAvx512;
     ops.nttInverse = &nttInverseAvx512;
     ops.addMod = &addModAvx512;
@@ -340,6 +342,12 @@ installAvx512Kernels(KernelOps& ops)
     ops.mulScalarShoup = &mulScalarShoupAvx512;
     ops.mulScalarShoupAccum = &mulScalarShoupAccumAvx512;
     ops.liftSigned = &liftSignedAvx512;
+#if defined(HEAP_HAVE_AVX512IFMA)
+    if (cpuHasIfma()) {
+        ops.macLazy = &detail::macLazyAvx512Ifma;
+        ops.macReduce = &detail::macReduceAvx512Ifma;
+    }
+#endif
 }
 
 } // namespace detail

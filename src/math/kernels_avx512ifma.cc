@@ -1,6 +1,9 @@
 /**
  * @file
- * AVX-512 IFMA NTT bodies: negacyclic butterflies built on the
+ * AVX-512 IFMA bodies of the NTT and of the gadget product's
+ * multiply-accumulate.
+ *
+ * The NTT bodies are negacyclic butterflies built on the
  * 52x52-bit fused multiply-add units (vpmadd52luq/vpmadd52huq),
  * following the same Harvey lazy-reduction discipline as the scalar
  * kernels but with beta = 2^52 instead of 2^64:
@@ -21,11 +24,23 @@
  * Only reachable when the tables carry 52-bit companions
  * (NttTablesView::psi52 != nullptr) and the CPU reports avx512ifma;
  * kernels_avx512.cc performs both checks before branching here.
+ *
+ * The MAC bodies keep each lazy sum as two 64-bit lanes per
+ * coefficient, lo at words [2cn, 2cn + n) and hi at [2cn + n,
+ * 2cn + 2n): vpmadd52luq adds the low 52 bits of each product to lo,
+ * vpmadd52huq the high bits to hi, so the sum is lo + hi * 2^52 —
+ * exact with no reduction for q < 2^kIfmaMacModulusBits, for
+ * kIfmaMacBudget terms on top of a reduced seed (modarith.h). Wider
+ * moduli, and n that whole vectors do not cover, take the scalar
+ * 128-bit body. The AVX-512 table installs these after its avx512ifma
+ * cpuid check.
  */
 
 #if defined(HEAP_HAVE_AVX512IFMA) && (defined(__x86_64__) || defined(__i386__))
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "math/kernels.h"
 
@@ -93,9 +108,99 @@ invStageSmallV(__m512i z, __m512i uIdx, __m512i vIdx, __mmask8 vMask,
     return _mm512_mask_blend_epi64(vMask, x, y);
 }
 
+/** Sum c += row * keys[c] as lo/hi lanes; Sums is a constant so one
+ *  row load feeds every sum. @pre n % 8 == 0. */
+template <size_t Sums>
+void
+macRowsIfma(uint64_t* acc, const uint64_t* row,
+            const uint64_t* const* keys, size_t n)
+{
+    for (size_t t = 0; t < n; t += 8) {
+        const __m512i x = _mm512_loadu_si512(row + t);
+        for (size_t c = 0; c < Sums; ++c) {
+            uint64_t* lo = acc + 2 * c * n + t;
+            uint64_t* hi = lo + n;
+            const __m512i k = _mm512_loadu_si512(keys[c] + t);
+            _mm512_storeu_si512(
+                lo, _mm512_madd52lo_epu64(_mm512_loadu_si512(lo), x, k));
+            _mm512_storeu_si512(
+                hi, _mm512_madd52hi_epu64(_mm512_loadu_si512(hi), x, k));
+        }
+    }
+}
+
+/** The exact value of lane pair (lo, hi), below q * 2^64. */
+inline uint64_t
+reduceLanes(uint64_t lo, uint64_t hi, const BarrettReducer& red)
+{
+    return red.reduce(static_cast<uint128>(lo)
+                      + (static_cast<uint128>(hi) << 52));
+}
+
+/** Whether the lanes are exact for q and whole vectors cover n. */
+inline bool
+fitsIfmaMac(uint64_t q, size_t n)
+{
+    return (q >> kIfmaMacModulusBits) == 0 && n % 8 == 0;
+}
+
 } // namespace
 
 namespace detail {
+
+void
+macLazyAvx512Ifma(uint64_t* acc, uint64_t& terms, const uint64_t* row,
+                  const uint64_t* const* keys, size_t sums, size_t n,
+                  const BarrettReducer& red)
+{
+    if (!fitsIfmaMac(red.modulus(), n)) {
+        macLazyScalar(acc, terms, row, keys, sums, n, red);
+        return;
+    }
+    if (terms == 0) {
+        std::fill_n(acc, 2 * sums * n, uint64_t{0});
+    } else if (terms == kIfmaMacBudget) {
+        for (size_t c = 0; c < sums; ++c) {
+            uint64_t* lo = acc + 2 * c * n;
+            uint64_t* hi = lo + n;
+            for (size_t t = 0; t < n; ++t) {
+                lo[t] = reduceLanes(lo[t], hi[t], red);
+                hi[t] = 0;
+            }
+        }
+        terms = 0;
+    }
+    ++terms;
+    switch (sums) {
+    case 2:
+        macRowsIfma<2>(acc, row, keys, n);
+        break;
+    case 4:
+        macRowsIfma<4>(acc, row, keys, n);
+        break;
+    default:
+        for (size_t c = 0; c < sums; ++c) {
+            macRowsIfma<1>(acc + 2 * c * n, row, keys + c, n);
+        }
+    }
+}
+
+void
+macReduceAvx512Ifma(uint64_t* const* dst, const uint64_t* acc,
+                    size_t sums, size_t n, const BarrettReducer& red)
+{
+    if (!fitsIfmaMac(red.modulus(), n)) {
+        macReduceScalar(dst, acc, sums, n, red);
+        return;
+    }
+    for (size_t c = 0; c < sums; ++c) {
+        const uint64_t* lo = acc + 2 * c * n;
+        const uint64_t* hi = lo + n;
+        for (size_t t = 0; t < n; ++t) {
+            dst[c][t] = reduceLanes(lo[t], hi[t], red);
+        }
+    }
+}
 
 void
 nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t)

@@ -150,6 +150,18 @@ shoupPrecompute(uint64_t w, uint64_t q)
 inline constexpr int kIfmaMaxModulusBits = 50;
 
 /**
+ * Modulus bound and term budget of the IFMA gadget MAC
+ * (kernels_avx512ifma.cc). Each lazy sum keeps lo += low52(x * k) and
+ * hi += high52(x * k) in two 64-bit lanes, exact while both factors
+ * fit the 52-bit multiplier operands. A term adds < 2^52 to lo, so on
+ * top of a reduced seed (< q <= 2^52) lo takes 4095 terms before it
+ * could wrap; the value then stays below q * 2^64, the Barrett domain.
+ * The scalar budget floor((2^64 - 1) / q) would wrap lo near q = 2^52.
+ */
+inline constexpr int kIfmaMacModulusBits = 52;
+inline constexpr uint64_t kIfmaMacBudget = 4095;
+
+/**
  * Precomputes the 52-bit Shoup companion floor(w * 2^52 / q) used by
  * the IFMA kernels (52x52-bit fused multipliers). @pre w < q < 2^50.
  */

@@ -2,13 +2,14 @@
  * @file
  * Runtime SIMD dispatch for the math kernels.
  *
- * The flat kernels in math/kernels.h come in up to three variants:
- * a portable scalar implementation, an AVX2 implementation (x86-64),
- * and a NEON implementation (aarch64). The variant is chosen exactly
- * once per process, mirroring how the paper fixes the datapath width
- * at synthesis time (Section IV-A): there is no per-call branching in
- * the hot loops, only a single function-pointer table selected at
- * startup.
+ * The flat kernels in math/kernels.h come in up to four variants:
+ * a portable scalar implementation, AVX2 and AVX-512 implementations
+ * (x86-64; the AVX-512 table takes IFMA NTT and MAC bodies when the
+ * CPU has avx512ifma), and a NEON implementation (aarch64). The
+ * variant is chosen exactly once per process, mirroring how the paper
+ * fixes the datapath width at synthesis time (Section IV-A): there is
+ * no per-call branching in the hot loops, only a single
+ * function-pointer table selected at startup.
  *
  * The environment variable HEAP_FORCE_SCALAR=1 forces the portable
  * scalar fallback regardless of hardware support — used by the `simd`

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <bit>
-#include <memory>
 #include <optional>
 
 #include "common/check.h"
@@ -91,14 +90,13 @@ struct DigitBlock {
  *
  * Each block is decomposed once (a copy of an Eval input is converted
  * first). Per output limb, every digit is lifted and forward-NTT'd
- * once into `row`, then multiplied into all 2 * Outputs 128-bit sums.
- * A product is below q^2 and a reduced sum below q, so `budget`
- * products on top of a reduced sum stay below q * 2^64, the reducer's
- * domain; sums mod q are exact, so reducing once at the end (or
- * whenever the budget runs out) gives the canonical values that
- * reducing after every product would. Output limbs are independent
- * and fan out like RnsPoly::toEval. Outputs have x's limb count, Eval
- * domain.
+ * once into `row`, then multiplied into all 2 * Outputs lazy sums by
+ * the MAC kernel (KernelOps::macLazy), which reduces them in place
+ * whenever its term budget runs out; sums mod q are exact, so
+ * reducing once at the end (macReduce) gives the canonical values
+ * that reducing after every product would, on every SIMD level.
+ * Output limbs are independent and fan out like RnsPoly::toEval.
+ * Outputs have x's limb count, Eval domain.
  */
 template <size_t Blocks, size_t Outputs>
 std::array<Ciphertext, Outputs>
@@ -147,14 +145,10 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
     auto processLimb = [&](size_t k) {
         const uint64_t qk = basis->modulus(k);
         const auto& red = basis->reducer(k);
-        const uint64_t budget = ~uint64_t{0} / qk;
         const math::KernelOps& ops = math::kernels();
         math::ScratchFrame inner;
         auto row = inner.borrow(n);
-        // Construct the uint128 sums in place, n each.
-        auto* acc = reinterpret_cast<math::uint128*>(
-            inner.borrow(2 * kSums * n).data());
-        std::uninitialized_fill_n(acc, kSums * n, math::uint128{0});
+        uint64_t* acc = inner.borrow(2 * kSums * n).data();
         uint64_t terms = 0;
         const int64_t* dig = digits.data();
         for (const DigitBlock<Outputs>& block : blocks) {
@@ -163,13 +157,6 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
                 for (int j = 0; j < d; ++j, dig += n) {
                     ops.liftSigned(row.data(), dig, n, qk);
                     basis->ntt(k).forward(row);
-                    if (terms == budget) {
-                        for (size_t t = 0; t < kSums * n; ++t) {
-                            acc[t] = red.reduce(acc[t]);
-                        }
-                        terms = 0;
-                    }
-                    ++terms;
                     const uint64_t* key[kSums];
                     for (size_t o = 0; o < Outputs; ++o) {
                         const Ciphertext& kr = block.keys[o]->row(
@@ -177,22 +164,16 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
                         key[2 * o] = kr.a.limb(k).data();
                         key[2 * o + 1] = kr.b.limb(k).data();
                     }
-                    for (size_t t = 0; t < n; ++t) {
-                        const math::uint128 x = row[t];
-                        for (size_t c = 0; c < kSums; ++c) {
-                            acc[c * n + t] += x * key[c][t];
-                        }
-                    }
+                    ops.macLazy(acc, terms, row.data(), key, kSums, n, red);
                 }
             }
         }
+        uint64_t* dst[kSums];
         for (size_t c = 0; c < kSums; ++c) {
             Ciphertext& o = out[c / 2];
-            uint64_t* dst = (c % 2 == 0 ? o.a : o.b).limb(k).data();
-            for (size_t t = 0; t < n; ++t) {
-                dst[t] = red.reduce(acc[c * n + t]);
-            }
+            dst[c] = (c % 2 == 0 ? o.a : o.b).limb(k).data();
         }
+        ops.macReduce(dst, acc, kSums, n, red);
     };
     if (l >= 2 && n >= 1024) {
         parallelFor(0, l, 1, processLimb);

@@ -32,7 +32,11 @@ accumulateRotatedDiffPoly(math::RnsPoly& acc, const math::RnsPoly& ep,
         }
         // ... then acc += ep * X^k (sign flips past X^N = -1).
         for (size_t i = 0; i < n; ++i) {
-            const size_t dst = (i + k) % twoN;
+            // i + k < 3N, so one subtract wraps it mod 2N.
+            size_t dst = i + k;
+            if (dst >= twoN) {
+                dst -= twoN;
+            }
             if (dst < n) {
                 out[dst] = math::addMod(out[dst], src[i], q);
             } else {

@@ -6,6 +6,7 @@
  */
 
 #include <cmath>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -165,6 +166,49 @@ TEST_F(RlweFixture, BalancedGadgetDecomposeRecomposes)
             }
             ASSERT_EQ(math::fromCentered(v, qi), x.limb(i)[t])
                 << "limb " << i << " t " << t;
+        }
+    }
+}
+
+// The balanced digits are pinned word for word, not just recomposed:
+// a reference built on truncating v % B fixes the tie rule (a
+// remainder of B/2 stays up for v >= 0 and goes to -B/2 for v < 0),
+// on random residues and on centered values that tie at every digit.
+TEST_F(RlweFixture, BalancedDigitsMatchTruncatingReference)
+{
+    Rng r2(9);
+    auto x = math::sampleUniformRns(basis, 3, math::Domain::Coeff, r2);
+    GadgetParams bal = gadget;
+    bal.balanced = true;
+    const int64_t base = 1LL << bal.baseBits;
+    const int64_t half = base / 2;
+    const int64_t ties[] = {half,      -half,      half * base + half,
+                            -half * base - half,   half * base - half,
+                            1,         -1,         base - 1, 1 - base};
+    for (size_t i = 0; i < 3; ++i) {
+        for (size_t t = 0; t < std::size(ties); ++t) {
+            x.limb(i)[t] = math::fromCentered(ties[t], basis->modulus(i));
+        }
+    }
+    const auto digits = gadgetDecompose(x, bal);
+    const int d = bal.digitsPerLimb;
+    for (size_t i = 0; i < 3; ++i) {
+        for (size_t t = 0; t < kN; ++t) {
+            int64_t v = math::toCentered(x.limb(i)[t], basis->modulus(i));
+            for (int j = 0; j < d; ++j) {
+                int64_t r = v;
+                if (j + 1 < d) {
+                    r = v % base;
+                    if (r > half) {
+                        r -= base;
+                    } else if (r < -half) {
+                        r += base;
+                    }
+                    v = (v - r) >> bal.baseBits;
+                }
+                ASSERT_EQ(digits[i * d + static_cast<size_t>(j)][t], r)
+                    << "limb " << i << " t " << t << " digit " << j;
+            }
         }
     }
 }

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/rng.h"
 #include "math/kernels.h"
 #include "math/ntt.h"
@@ -149,6 +150,169 @@ TEST(SimdEquivalence, PointwiseKernelsMatchScalar)
                     ref.liftSigned(want.data(), digits.data(), n, q);
                     ops.liftSigned(got.data(), digits.data(), n, q);
                     ASSERT_EQ(want, got) << "liftSigned " << name;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Runs `terms` rows through one level's gadget MAC (macLazy, then
+ * macReduce): row i is rows[i % R] against keys[(i % R) * sums + c]
+ * for R = rows.size(). Returns the reduced sums back to back.
+ */
+std::vector<uint64_t>
+runMac(const KernelOps& ops, const std::vector<std::vector<uint64_t>>& rows,
+       const std::vector<std::vector<uint64_t>>& keys, size_t sums,
+       size_t terms, const BarrettReducer& red)
+{
+    const size_t n = rows[0].size();
+    AlignedU64 acc(2 * sums * n);
+    uint64_t count = 0;
+    std::vector<const uint64_t*> k(sums);
+    for (size_t i = 0; i < terms; ++i) {
+        const size_t r = i % rows.size();
+        for (size_t c = 0; c < sums; ++c) {
+            k[c] = keys[r * sums + c].data();
+        }
+        ops.macLazy(acc.data(), count, rows[r].data(), k.data(), sums, n,
+                    red);
+    }
+    std::vector<uint64_t> out(sums * n);
+    std::vector<uint64_t*> dst(sums);
+    for (size_t c = 0; c < sums; ++c) {
+        dst[c] = out.data() + c * n;
+    }
+    ops.macReduce(dst.data(), acc.data(), sums, n, red);
+    return out;
+}
+
+// The gadget MAC on the operands that grow its lazy sums fastest:
+// every word q - 1 (the largest product, (q-1)^2 = 1 mod q, so every
+// sum reduces to terms mod q), and x * k = -1 mod 2^52 (the largest
+// low half, which fills the IFMA lo lane fastest). The 52-bit q runs
+// exactly the IFMA budget, one term past it (the mid-loop fold must
+// fire) and two budgets of the scalar rule floor((2^64 - 1) / q) =
+// 4096, which would wrap lo after its first fold. The 62-bit q is past
+// the IFMA bound, so that level must take the scalar fallback.
+TEST(SimdEquivalence, GadgetMacMatchesScalarAtItsBudget)
+{
+    const KernelOps& ref = scalarKernels();
+    for (const size_t n : {size_t{8}, size_t{64}, size_t{1024}}) {
+        for (const int bits : {52, 62}) {
+            const uint64_t q = generateNttPrimes(bits, n, 1)[0];
+            const BarrettReducer red(q);
+            // The odd x < q whose k = -x^-1 mod 2^52 is below q too.
+            const uint64_t mask52 = (uint64_t{1} << 52) - 1;
+            uint64_t x = q - 2;
+            uint64_t k = 0;
+            for (;; x -= 2) {
+                uint64_t inv = x; // Newton: inv = x^-1 mod 2^64
+                for (int it = 0; it < 6; ++it) {
+                    inv *= 2 - x * inv;
+                }
+                k = (0 - inv) & mask52;
+                if (k < q) {
+                    break;
+                }
+            }
+            ASSERT_EQ(mask52, (x * k) & mask52);
+            const std::vector<uint64_t> ones(n, q - 1);
+            const std::vector<uint64_t> xs(n, x);
+            const std::vector<uint64_t> ks(n, k);
+            for (const size_t sums : {size_t{2}, size_t{4}}) {
+                for (const size_t terms :
+                     {size_t{kIfmaMacBudget}, size_t{kIfmaMacBudget + 1},
+                      size_t{2 * (kIfmaMacBudget + 1)}}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "n=" << n << " bits=" << bits
+                                 << " sums=" << sums << " terms=" << terms);
+                    const std::vector<std::vector<uint64_t>> maxRows = {
+                        ones};
+                    const std::vector<std::vector<uint64_t>> maxKeys(
+                        sums, ones);
+                    const auto want =
+                        runMac(ref, maxRows, maxKeys, sums, terms, red);
+                    ASSERT_EQ(want,
+                              std::vector<uint64_t>(sums * n, terms % q));
+
+                    const std::vector<std::vector<uint64_t>> loRows = {xs};
+                    const std::vector<std::vector<uint64_t>> loKeys(sums,
+                                                                    ks);
+                    const auto wantLo =
+                        runMac(ref, loRows, loKeys, sums, terms, red);
+                    ASSERT_EQ(wantLo,
+                              std::vector<uint64_t>(
+                                  sums * n,
+                                  red.mulMod(terms % q, red.mulMod(x, k))));
+
+                    for (const SimdLevel lvl : kAllLevels) {
+                        const KernelOps& ops = kernelsForLevel(lvl);
+                        const auto got =
+                            runMac(ops, maxRows, maxKeys, sums, terms, red);
+                        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                                 want.size() * 8))
+                            << "q - 1 operands, level "
+                            << simdLevelName(lvl);
+                        const auto gotLo =
+                            runMac(ops, loRows, loKeys, sums, terms, red);
+                        ASSERT_EQ(0,
+                                  std::memcmp(gotLo.data(), wantLo.data(),
+                                              wantLo.size() * 8))
+                            << "low-half operands, level "
+                            << simdLevelName(lvl);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// The gadget MAC on random rows and distinct keys per sum (so a sum
+// read from the wrong lanes shows), every level against the scalar
+// pair and a product-by-product oracle, on both sides of the IFMA
+// bound and at an n that whole vectors do not cover (n = 12, the
+// scalar fallback).
+TEST(SimdEquivalence, GadgetMacMatchesScalarOnRandomRows)
+{
+    const KernelOps& ref = scalarKernels();
+    const size_t terms = 37;
+    for (const size_t n : {size_t{12}, size_t{64}, size_t{1024}}) {
+        for (const int bits : {30, 36, 51, 52, 62}) {
+            const uint64_t q = generateNttPrimes(bits, 8192, 1)[0];
+            const BarrettReducer red(q);
+            for (const size_t sums : {size_t{1}, size_t{2}, size_t{4}}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " bits=" << bits
+                             << " sums=" << sums);
+                const uint64_t seed = n * 1000 + bits * 10 + sums;
+                std::vector<std::vector<uint64_t>> rows;
+                std::vector<std::vector<uint64_t>> keys;
+                for (size_t i = 0; i < terms; ++i) {
+                    rows.push_back(randomPoly(n, q, seed + 7919 * i));
+                    for (size_t c = 0; c < sums; ++c) {
+                        keys.push_back(randomPoly(
+                            n, q, seed + 7919 * i + 104729 * (c + 1)));
+                    }
+                }
+                std::vector<uint64_t> oracle(sums * n, 0);
+                for (size_t i = 0; i < terms; ++i) {
+                    for (size_t c = 0; c < sums; ++c) {
+                        for (size_t t = 0; t < n; ++t) {
+                            oracle[c * n + t] = addMod(
+                                oracle[c * n + t],
+                                red.mulMod(rows[i][t], keys[i * sums + c][t]),
+                                q);
+                        }
+                    }
+                }
+                ASSERT_EQ(runMac(ref, rows, keys, sums, terms, red), oracle);
+                for (const SimdLevel lvl : kAllLevels) {
+                    const auto got = runMac(kernelsForLevel(lvl), rows, keys,
+                                            sums, terms, red);
+                    ASSERT_EQ(0, std::memcmp(got.data(), oracle.data(),
+                                             oracle.size() * 8))
+                        << "level " << simdLevelName(lvl);
                 }
             }
         }

@@ -338,7 +338,9 @@ oracleBlindRotate(const lwe::LweCiphertext& lwe, const math::RnsPoly& f,
 
 /** Shapes for the lazy-reduction checks. The 62-bit one puts more
  *  products in every 128-bit sum than fit below q * 2^64, so the
- *  mid-loop reduction must fire. */
+ *  mid-loop reduction must fire (and the IFMA MAC hands it to the
+ *  scalar body); the 51-bit one runs the IFMA MAC at its widest
+ *  moduli, where each 52-bit product half is largest. */
 const FusedShape kFusedShapes[] = {
     {"bootstrap N=64 4x30b 6x6", 64, 30, 4,
      {.baseBits = 6, .digitsPerLimb = 6}},
@@ -346,6 +348,8 @@ const FusedShape kFusedShapes[] = {
      {.baseBits = 10, .digitsPerLimb = 3}},
     {"N=64 3x62b 4x16", 64, 62, 3,
      {.baseBits = 4, .digitsPerLimb = 16}},
+    {"N=64 3x51b 6x9", 64, 51, 3,
+     {.baseBits = 6, .digitsPerLimb = 9}},
 };
 
 TEST(FusedCmuxStep, MatchesTwoExternalProductsWordForWord)

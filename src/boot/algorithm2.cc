@@ -11,6 +11,34 @@
 
 namespace heap::boot {
 
+namespace {
+
+/** Serialized size of a gadget ciphertext: its rows are RLWE
+ *  ciphertexts of two polynomials over the same limbs. */
+size_t
+gadgetBytes(const rlwe::GadgetCiphertext& g)
+{
+    const math::RnsPoly& b = g.row(0, 0).b;
+    return g.rowCount() * 2 * b.limbCount() * b.n() * sizeof(uint64_t);
+}
+
+} // namespace
+
+size_t
+BootstrapKeys::bytes() const
+{
+    size_t total = 0;
+    for (const auto* half : {&brk.plus, &brk.minus}) {
+        for (const rlwe::RgswCiphertext& rgsw : *half) {
+            total += gadgetBytes(rgsw.forB) + gadgetBytes(rgsw.forA);
+        }
+    }
+    for (const auto& [t, key] : packing.autoKeys) {
+        total += gadgetBytes(key);
+    }
+    return total;
+}
+
 ModSwitched
 modSwitchSplit(const rlwe::Ciphertext& in, const math::RnsBasis& basis)
 {

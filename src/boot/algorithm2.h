@@ -44,6 +44,11 @@ struct BootstrapKeys {
     /** Predicted accumulator error of one blind rotation under brk
      *  (tfhe::blindRotateSigma over the full basis). */
     double brSigma = 0;
+
+    /** Serialized bytes of the key objects: rows x 2 polys x limbs x
+     *  N words of every RGSW half and packing key (the Section III-C
+     *  accounting, and a serving pod's per-tenant key footprint). */
+    size_t bytes() const;
 };
 
 /**

@@ -5,19 +5,6 @@
 
 namespace heap::boot {
 
-namespace {
-
-/** Serialized size of a gadget ciphertext: its rows are RLWE
- *  ciphertexts of two polynomials over the same limbs. */
-size_t
-gadgetBytes(const rlwe::GadgetCiphertext& g)
-{
-    const math::RnsPoly& b = g.row(0, 0).b;
-    return g.rowCount() * 2 * b.limbCount() * b.n() * sizeof(uint64_t);
-}
-
-} // namespace
-
 SchemeSwitchBootstrapper::SchemeSwitchBootstrapper(
     const ckks::Context& ctx, rlwe::GadgetParams brGadget)
     : ctx_(&ctx), keys_(makeBootstrapKeys(ctx, brGadget))
@@ -34,16 +21,7 @@ SchemeSwitchBootstrapper::setWorkers(size_t workers)
 size_t
 SchemeSwitchBootstrapper::keyBytes() const
 {
-    size_t total = 0;
-    for (const auto* half : {&keys_->brk.plus, &keys_->brk.minus}) {
-        for (const rlwe::RgswCiphertext& rgsw : *half) {
-            total += gadgetBytes(rgsw.forB) + gadgetBytes(rgsw.forA);
-        }
-    }
-    for (const auto& [t, key] : keys_->packing.autoKeys) {
-        total += gadgetBytes(key);
-    }
-    return total;
+    return keys_->bytes();
 }
 
 ckks::Ciphertext

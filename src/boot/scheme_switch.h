@@ -83,7 +83,7 @@ class SchemeSwitchBootstrapper {
 
     const BootstrapStepTimes& lastStepTimes() const { return times_; }
 
-    /** Total serialized key bytes (for the Section III-C accounting). */
+    /** Total serialized key bytes (BootstrapKeys::bytes()). */
     size_t keyBytes() const;
 
   private:

@@ -72,8 +72,8 @@ class BootstrapModel {
 
     /**
      * Modeled time for ONE node to blind-rotate a batch of `count`
-     * LWE ciphertexts (the per-batch compute term the serving
-     * scheduler packs against; same anchor scaling as bootstrap()).
+     * LWE ciphertexts (the modeled per-batch compute term; same
+     * anchor scaling as bootstrap()).
      */
     double blindRotateBatchMs(size_t count) const;
 
@@ -99,8 +99,8 @@ class BootstrapModel {
     /**
      * Modeled sustained service rate of ONE pod (this model's
      * `numFpgas`-FPGA group running back-to-back bootstraps at
-     * `slots` packed slots), in bootstraps per second. The serving
-     * layer's autoscaling oracle.
+     * `slots` packed slots), in bootstraps per second: the modeled
+     * autoscaling oracle.
      */
     double podThroughputRps(size_t slots) const;
 

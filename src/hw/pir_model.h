@@ -7,10 +7,10 @@
  * BlindRotate iterates), so the per-dimension fold cost is derived
  * from the OpCostModel's NTT/pointwise kernel cycles and the HBM
  * bandwidth, and the query/response communication terms use the
- * CMAC link. The serving layer uses answerMs() as the modeled
- * per-request load and podThroughputQps()/podsNeeded() as the
- * autoscaling oracle, exactly like the bootstrap model's
- * blindRotateBatchMs()/podThroughputRps().
+ * CMAC link. podThroughputQps()/podsNeeded() are the modeled
+ * autoscaling oracle, like the bootstrap model's podThroughputRps().
+ * Serving does not read this model: pods price work at their
+ * measured cost (serve::Pod::msPerItem).
  */
 
 #ifndef HEAP_HW_PIR_MODEL_H

@@ -20,11 +20,6 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** A pod with this much modeled outstanding work counts as holding a
- *  backlog for wedge detection (floating-point refunds may leave
- *  dust, so exact zero is the wrong test). */
-constexpr double kBacklogEpsMs = 1e-9;
-
 } // namespace
 
 ServiceCluster::ServiceCluster(
@@ -47,40 +42,12 @@ ServiceCluster::ServiceCluster(
         HEAP_CHECK(p->context().basis()->n() == n,
                    "pods disagree on the ring dimension");
     }
-    if (cfg_.pod.costModel == nullptr) {
-        cfg_.pod.costModel = cfg_.costModel;
-    }
-    tenantKeyBytesDefault_ =
-        cfg_.defaultTenantKeyBytes != 0 ? cfg_.defaultTenantKeyBytes
-        : cfg_.costModel != nullptr
-            ? static_cast<size_t>(cfg_.costModel->keyReadBytes())
-            : (size_t{1} << 20);
-    // Modeled cost of one request's rotate work: the spill policy's
-    // load unit. Any positive constant works without a model — load
-    // is then proportional to outstanding requests.
+    // A tenant that declares no key footprint is charged the pods'
+    // real bootstrapping-key bytes (every pod holds the same set).
+    podKeyBytes_ = pods[0]->keys().bytes();
     classes_[kBootstrap].items = n;
-    classes_[kBootstrap].costMs =
-        cfg_.costModel != nullptr
-            ? cfg_.costModel->blindRotateBatchMs(n)
-                  + cfg_.costModel->batchCommMs(n)
-            : static_cast<double>(n) * 0.01;
     if (cfg_.pirServer != nullptr) {
-        const pir::PirParams& pp = cfg_.pirServer->params();
-        classes_[kLookup].items = pp.firstDimGroups();
-        if (cfg_.pirModel != nullptr) {
-            hw::PirShape shape;
-            shape.ringN = pp.basis->n();
-            shape.limbs = pp.limbs;
-            shape.digitsPerLimb = pp.gadget.digitsPerLimb;
-            shape.dims = pp.dims;
-            const hw::PirBreakdown b = cfg_.pirModel->answer(shape);
-            classes_[kLookup].costMs = b.foldMs + b.responseCommMs;
-        } else {
-            // Any positive constant works: lookup load is then
-            // proportional to outstanding first-dim groups.
-            classes_[kLookup].costMs =
-                static_cast<double>(pp.firstDimGroups()) * 0.01;
-        }
+        classes_[kLookup].items = cfg_.pirServer->params().firstDimGroups();
     }
     for (auto* p : pods) {
         tables_[kBootstrap].push_back(
@@ -93,7 +60,7 @@ ServiceCluster::ServiceCluster(
             cfg_.keyCacheBytes));
         breakers_.emplace_back(cfg_.breaker);
     }
-    podLoadMs_.assign(pods.size(), 0.0);
+    podItems_.assign(pods.size(), {});
     retryGateMs_.assign(pods.size(), 0.0);
     if (cfg_.chaos) {
         chaos_ = std::make_unique<ChaosEngine>(*cfg_.chaos);
@@ -127,6 +94,32 @@ ServiceCluster::breakerStats(size_t i) const
     return breakers_.at(i).stats();
 }
 
+uint64_t
+ServiceCluster::podItemsLocked(size_t pod) const
+{
+    return podItems_[pod][kBootstrap] + podItems_[pod][kLookup];
+}
+
+double
+ServiceCluster::requestMs(size_t cls, size_t pod) const
+{
+    return static_cast<double>(classes_[cls].items)
+           * tables_[cls][pod]->msPerItem();
+}
+
+double
+ServiceCluster::podLoadMsLocked(size_t pod) const
+{
+    double ms = 0;
+    for (size_t k = 0; k < kClasses; ++k) {
+        if (podItems_[pod][k] != 0) {
+            ms += static_cast<double>(podItems_[pod][k])
+                  * tables_[k][pod]->msPerItem();
+        }
+    }
+    return ms;
+}
+
 std::vector<ServiceCluster::Candidate>
 ServiceCluster::routeCandidates(uint64_t tenantId, bool gateHealth)
 {
@@ -137,14 +130,13 @@ ServiceCluster::routeCandidates(uint64_t tenantId, bool gateHealth)
         std::lock_guard<std::mutex> lock(m_);
         if (gateHealth) {
             for (size_t i = 0; i < podCount(); ++i) {
-                breakers_[i].noteDecision(podLoadMs_[i]
-                                          > kBacklogEpsMs);
+                breakers_[i].noteDecision(podItemsLocked(i) != 0);
             }
             for (size_t i = 0; i < podCount(); ++i) {
                 const CircuitBreaker::Gate g = breakers_[i].gate();
                 if (g.admit) {
                     cands.push_back(
-                        Candidate{i, g.probe, podLoadMs_[i]});
+                        Candidate{i, g.probe, podItemsLocked(i)});
                 }
             }
         } else {
@@ -156,15 +148,14 @@ ServiceCluster::routeCandidates(uint64_t tenantId, bool gateHealth)
             // dispatch loop skips crashed/full ones) so an all-open
             // moment cannot strand a flight.
             for (size_t i = 0; i < podCount(); ++i) {
-                cands.push_back(
-                    Candidate{i, false, podLoadMs_[i]});
+                cands.push_back(Candidate{i, false, podItemsLocked(i)});
             }
         }
     }
     // Sort OUTSIDE the lock, over the load snapshot taken under it:
     // probes first (carrying the probe is how an open breaker ever
     // observes recovery), then the tenant's preferred pod, then the
-    // rest by ascending modeled load.
+    // rest by ascending outstanding items.
     std::stable_sort(cands.begin(), cands.end(),
                      [&](const Candidate& a, const Candidate& b) {
                          if (a.probe != b.probe) {
@@ -175,7 +166,7 @@ ServiceCluster::routeCandidates(uint64_t tenantId, bool gateHealth)
                          if (ap != bp) {
                              return ap;
                          }
-                         return a.loadMs < b.loadMs;
+                         return a.items < b.items;
                      });
     return cands;
 }
@@ -199,7 +190,7 @@ ServiceCluster::tryDispatch(const std::shared_ptr<Flight>& flight,
             });
     }
     const size_t preferred = preferredPod(flight->tenantId);
-    const double costMs = classes_[flight->cls].costMs;
+    const size_t items = classes_[flight->cls].items;
     for (size_t c = 0; c < cands.size(); ++c) {
         const size_t podIdx = cands[c].pod;
         const bool probe = cands[c].probe;
@@ -244,11 +235,11 @@ ServiceCluster::tryDispatch(const std::shared_ptr<Flight>& flight,
             flightDone(flight, rep, ok);
         };
         {
-            // Charge the modeled load and count the attempt before
-            // the pod can complete it: the relay's refund then always
+            // Charge the load and count the attempt before the pod
+            // can complete it: the relay's refund then always
             // balances, and its attempts read is never stale.
             std::lock_guard<std::mutex> lock(m_);
-            podLoadMs_[podIdx] += costMs;
+            podItems_[podIdx][flight->cls] += items;
             ++flight->attempts;
         }
         try {
@@ -259,7 +250,7 @@ ServiceCluster::tryDispatch(const std::shared_ptr<Flight>& flight,
             // next candidate. The request never ran, so this is the
             // only accounting path for the attempt.
             std::lock_guard<std::mutex> lock(m_);
-            podLoadMs_[podIdx] -= costMs;
+            podItems_[podIdx][flight->cls] -= items;
             --flight->attempts;
             if (probe) {
                 breakers_[podIdx].cancelProbe();
@@ -304,7 +295,7 @@ ServiceCluster::onAttemptDone(const std::shared_ptr<Flight>& flight,
     uint32_t attempts = 0;
     {
         std::lock_guard<std::mutex> lock(m_);
-        podLoadMs_[podIdx] -= classes_[flight->cls].costMs;
+        podItems_[podIdx][flight->cls] -= classes_[flight->cls].items;
         breakers_[podIdx].onOutcome(err == nullptr, probe);
         attempts = flight->attempts;
     }
@@ -322,7 +313,7 @@ ServiceCluster::onAttemptDone(const std::shared_ptr<Flight>& flight,
     bool deadlineOk = true;
     if (cfg_.failover.respectDeadline
         && std::isfinite(flight->deadlineAbsMs)) {
-        deadlineOk = nowMs() + classes_[flight->cls].costMs
+        deadlineOk = nowMs() + requestMs(flight->cls, podIdx)
                      <= flight->deadlineAbsMs;
     }
     if (retryable && attempts < cfg_.failover.maxAttempts
@@ -483,11 +474,13 @@ ServiceCluster::failoverLoop()
             }
             if (tryDispatch(r.flight, /*isRetry=*/true)
                 != Dispatch::Placed) {
+                const Flight& f = *r.flight;
                 bool abandon = false;
                 if (cfg_.failover.respectDeadline
-                    && std::isfinite(r.flight->deadlineAbsMs)) {
-                    abandon = nowMs() + classes_[r.flight->cls].costMs
-                              > r.flight->deadlineAbsMs;
+                    && std::isfinite(f.deadlineAbsMs)) {
+                    const size_t last = static_cast<size_t>(f.lastPod);
+                    abandon = nowMs() + requestMs(f.cls, last)
+                              > f.deadlineAbsMs;
                 }
                 if (abandon) {
                     failUnplaced(r.flight, r.lastError);
@@ -523,11 +516,11 @@ ServiceCluster::submitFlight(
     flight->newRequest = std::move(newRequest);
     const TenantSpec& spec = registry_->spec(tenantId);
     // Key-cache charge: the tenant's declared footprint, else the
-    // cluster default (cost model's key-read bytes when available).
-    // Validated before admission so a misconfigured tenant cannot
-    // leak an in-flight slot or poison the candidate loop.
+    // pods' real key bytes. Validated before admission so a
+    // misconfigured tenant cannot leak an in-flight slot or poison
+    // the candidate loop.
     const size_t keyBytes =
-        spec.keyBytes != 0 ? spec.keyBytes : tenantKeyBytesDefault_;
+        spec.keyBytes != 0 ? spec.keyBytes : podKeyBytes_;
     HEAP_CHECK(keyBytes <= cfg_.keyCacheBytes,
                "tenant " << tenantId << " key footprint (" << keyBytes
                          << " B) exceeds the pod key cache ("
@@ -551,12 +544,15 @@ ServiceCluster::submitFlight(
 
     const int effPriority = opts.priority + spec.priority;
     if (cfg_.shedding.enabled) {
-        double minLoadMs = std::numeric_limits<double>::infinity();
+        // Outstanding items priced at each pod's measured rate; a
+        // pod that has not returned a batch yet prices work at 0.
+        double minDoneMs = std::numeric_limits<double>::infinity();
         double totalLoadMs = 0;
         {
             std::lock_guard<std::mutex> lock(m_);
-            for (const double l : podLoadMs_) {
-                minLoadMs = std::min(minLoadMs, l);
+            for (size_t i = 0; i < podCount(); ++i) {
+                const double l = podLoadMsLocked(i);
+                minDoneMs = std::min(minDoneMs, l + requestMs(cls, i));
                 totalLoadMs += l;
             }
         }
@@ -570,7 +566,7 @@ ServiceCluster::submitFlight(
                 ++rejectedShedBrownout_;
             }
             registry_->onShed(tenantId);
-            HEAP_FATAL("brownout: cluster modeled load "
+            HEAP_FATAL("brownout: cluster load "
                        << totalLoadMs << " ms >= "
                        << cfg_.shedding.brownoutLoadMs
                        << " ms and priority " << effPriority
@@ -579,10 +575,8 @@ ServiceCluster::submitFlight(
                        << ": request shed");
         }
         if (opts.deadlineMs) {
-            const double modeledMs =
-                cfg_.shedding.slackFactor
-                * (minLoadMs + classes_[flight->cls].costMs);
-            if (*opts.deadlineMs < modeledMs) {
+            const double doneMs = cfg_.shedding.slackFactor * minDoneMs;
+            if (*opts.deadlineMs < doneMs) {
                 {
                     std::lock_guard<std::mutex> lock(m_);
                     ++rejectedShedDeadline_;
@@ -590,8 +584,8 @@ ServiceCluster::submitFlight(
                 registry_->onShed(tenantId);
                 HEAP_FATAL("deadline shed: "
                            << *opts.deadlineMs
-                           << " ms deadline is under the modeled "
-                           << modeledMs
+                           << " ms deadline is under the measured "
+                           << doneMs
                            << " ms completion (negative slack): "
                            << "request shed");
             }
@@ -742,7 +736,9 @@ ServiceCluster::metrics() const
         m.pirSubmitted = classes_[kLookup].submitted;
         m.pirCompleted = classes_[kLookup].completed;
         m.pirFailed = classes_[kLookup].failed;
-        m.podModeledLoadMs = podLoadMs_;
+        for (size_t i = 0; i < podCount(); ++i) {
+            m.podOutstandingItems.push_back(podItemsLocked(i));
+        }
         m.breakers.reserve(breakers_.size());
         for (const CircuitBreaker& b : breakers_) {
             m.breakers.push_back(b.stats());

@@ -14,12 +14,13 @@
  * hash of the tenant id), which keeps that tenant's bootstrapping
  * keys hot in the pod's BootstrappingKeyCache; when the preferred
  * pod's admission window is full, the request spills to the pod with
- * the least modeled outstanding load that still has room. If every
+ * the fewest outstanding items (the load table counts each attempt's
+ * admission units exactly) that still has room. If every
  * pod is full, the request is rejected (cluster-level backpressure —
  * bounded memory, never OOM).
  *
  * Health: every pod carries a CircuitBreaker (serve/health.h) fed by
- * per-attempt outcomes and a modeled-load staleness detector, and
+ * per-attempt outcomes and a backlog staleness detector, and
  * routing consults it — open or wedged pods are routed around, and a
  * deterministic probe admission re-tests an open pod after a fixed
  * number of skipped routing decisions. Probe candidates are tried
@@ -36,17 +37,20 @@
  * FailoverPolicy's attempt or deadline budget runs out. Accounting is
  * exact: one TenantRegistry admission per logical request however
  * many attempts it takes, completion settled exactly once at the
- * terminal outcome, per-attempt modeled-load charges refunded by the
- * same relay that observed the attempt. A failed-over request touches
+ * terminal outcome, per-attempt load charges refunded by the same
+ * relay that observed the attempt. A failed-over request touches
  * the new pod's key cache (a real, counted cache-cold event — the
  * BTS/ARK key traffic the paper's §5 sizing is about).
  *
- * Shedding (opt-in): a request whose deadline cannot be met even by
- * the least-loaded healthy pod under the modeled cost is rejected at
- * admission (deadline shed), and under sustained modeled overload
+ * Shedding (opt-in): every pod measures its lane time per rotated
+ * item (Pod::msPerItem), and the cluster prices outstanding items at
+ * that rate. A request whose deadline cannot be met even by the pod
+ * that would finish it first is rejected at admission (deadline
+ * shed), and while the cluster's priced backlog is above a threshold
  * requests below a priority floor are rejected (brownout) — both
  * BEFORE the registry admission, so sheds never need refunds, and
- * both with distinct rejection counters.
+ * both with distinct rejection counters. A pod that has not returned
+ * a batch yet prices work at 0, so a cold cluster sheds nothing.
  *
  * Chaos (opt-in): a deterministic ChaosSpec (serve/chaos.h) fires
  * pod-level faults — injected failures, wedges, crash/recover — as
@@ -58,7 +62,7 @@
  * every pod index also carries a PirService over the shared
  * encrypted-lookup database, and submitPir() serves lookup flights
  * through the SAME routing, breakers, key caches (per-tenant
- * query-key footprints), shedding, fair queueing, and failover as
+ * key footprints), shedding, fair queueing, and failover as
  * bootstrap flights — two tenant classes, one failure domain. Lookup
  * answers
  * are byte-identical across worker counts and failover recomputes
@@ -73,7 +77,7 @@
  * for seeds {7, 21, 42}.
  *
  * Thread-safe: submit() may be called from many client threads. The
- * cluster's own mutex guards its counters, modeled-load table, and
+ * cluster's own mutex guards its counters, load table, and
  * breakers, and is never held across a pod or registry call, so it
  * cannot deadlock against the pod locks, relays or completion hooks.
  * Lock order: pod lock -> cluster lock -> registry/ticket locks,
@@ -92,7 +96,6 @@
 #include <thread>
 #include <vector>
 
-#include "hw/pir_model.h"
 #include "serve/chaos.h"
 #include "serve/health.h"
 #include "serve/keycache.h"
@@ -114,8 +117,9 @@ struct FailoverPolicy {
      *  flush (the pod's whole backlog failing through back-to-back
      *  hooks) comes due, and re-dispatches, in one sweep. */
     double backoffMs = 0.0;
-    /** Abandon retries once the modeled remaining deadline budget is
-     *  below one modeled request cost (the retry could only miss). */
+    /** Abandon retries once the remaining deadline budget is below
+     *  one request's cost at the failing pod's measured rate (the
+     *  retry could only miss). */
     bool respectDeadline = true;
 };
 
@@ -123,14 +127,16 @@ struct FailoverPolicy {
 struct SheddingPolicy {
     bool enabled = false;
     /** Deadline shed: reject when the request's deadline is shorter
-     *  than slackFactor * (least healthy pod's modeled outstanding
-     *  load + one modeled request cost) — i.e. its modeled slack is
-     *  negative. Requests without a deadline are never deadline-shed. */
+     *  than slackFactor * min over pods of (the pod's outstanding
+     *  items + this request's) at the pod's measured ms per item —
+     *  i.e. its slack is negative. Requests without a deadline are
+     *  never deadline-shed. */
     double slackFactor = 1.0;
-    /** Brownout: once the cluster's total modeled outstanding load
-     *  reaches this many modeled milliseconds, requests whose
-     *  effective priority (tenant base + submission) is below
-     *  brownoutMinPriority are rejected. 0 disables the brownout. */
+    /** Brownout: once the cluster's outstanding items, priced at
+     *  each pod's measured rate, reach this many milliseconds,
+     *  requests whose effective priority (tenant base + submission)
+     *  is below brownoutMinPriority are rejected. 0 disables the
+     *  brownout. */
     double brownoutLoadMs = 0.0;
     int brownoutMinPriority = 0;
 };
@@ -140,19 +146,12 @@ struct ClusterConfig {
     /** Per-pod service configuration (workers, admission cap, batch
      *  cap, stage bounds). Applied to every pod. */
     ServiceConfig pod;
-    /** Per-pod bootstrapping-key cache capacity, in bytes (modeled
-     *  residency accounting, not a real allocation). The default is
-     *  8 GiB of pod key memory — roughly four of the paper's ~1.8 GB
-     *  scheme-switching key sets per pod. */
+    /** Per-pod bootstrapping-key cache capacity, in bytes (residency
+     *  accounting, not a real allocation). The default is 8 GiB of
+     *  pod key memory — roughly four of the paper's ~1.8 GB
+     *  scheme-switching key sets per pod. A tenant without a declared
+     *  footprint is charged the pods' BootstrapKeys::bytes(). */
     size_t keyCacheBytes = size_t{8} << 30;
-    /** Key-footprint charge for tenants whose spec does not set one;
-     *  0 = the cost model's per-pod key-read bytes (keyReadBytes()),
-     *  or 1 MiB without a model. */
-    size_t defaultTenantKeyBytes = 0;
-    /** Optional accelerator cost model: drives the pods' batch
-     *  sizing, the spill policy's modeled load, and the autoscaling
-     *  oracle. Also installed as pod.costModel when that is null. */
-    const hw::BootstrapModel* costModel = nullptr;
     /** Per-pod circuit-breaker tuning (applied to every pod). */
     BreakerConfig breaker;
     FailoverPolicy failover;
@@ -171,10 +170,6 @@ struct ClusterConfig {
     const pir::PirServer* pirServer = nullptr;
     /** Per-pod PIR service configuration (pirServer set). */
     PirServiceConfig pirPod;
-    /** Optional PIR cost model: modeled per-lookup load for the spill
-     *  policy, shedding, and failover deadline math of PIR flights.
-     *  Without it lookup load is proportional to first-dim groups. */
-    const hw::PirModel* pirModel = nullptr;
 };
 
 /** Cluster-wide metrics snapshot (metrics()). */
@@ -184,7 +179,7 @@ struct ClusterMetrics {
     uint64_t rejectedQuota = 0;    ///< tenant quota at admission
     uint64_t rejectedCapacity = 0; ///< every candidate pod full
     uint64_t rejectedUnhealthy = 0; ///< every breaker refused routing
-    uint64_t rejectedShedDeadline = 0; ///< negative modeled slack
+    uint64_t rejectedShedDeadline = 0; ///< negative measured slack
     uint64_t rejectedShedBrownout = 0; ///< below the brownout floor
     // Routing.
     uint64_t routedPreferred = 0; ///< landed on the consistent pod
@@ -223,7 +218,9 @@ struct ClusterMetrics {
     uint64_t completed = 0;
     uint64_t failed = 0;
     std::vector<ServiceMetrics> pods;
-    std::vector<double> podModeledLoadMs; ///< outstanding, per pod
+    /** Items of attempts placed and not yet settled, per pod (both
+     *  tenant classes). */
+    std::vector<uint64_t> podOutstandingItems;
     // Key caches.
     std::vector<KeyCacheStats> podKeyCaches;
     KeyCacheStats keyCacheTotal;
@@ -336,8 +333,7 @@ class ServiceCluster {
 
     /** A tenant class's flight shape and flight accounting. */
     struct ClassInfo {
-        double costMs = 0; ///< modeled per-attempt load
-        size_t items = 0;  ///< registry admission units per request
+        size_t items = 0; ///< pod items = admission units per request
         uint64_t submitted = 0, completed = 0, failed = 0; ///< (m_)
     };
 
@@ -376,7 +372,7 @@ class ServiceCluster {
     struct Candidate {
         size_t pod = 0;
         bool probe = false;
-        double loadMs = 0; ///< modeled-load snapshot at gate time
+        uint64_t items = 0; ///< outstanding-items snapshot at gate time
     };
 
     enum class Dispatch {
@@ -389,13 +385,23 @@ class ServiceCluster {
      * One routing decision: with `gateHealth`, ticks every breaker's
      * staleness detector, gates each pod, and returns the admitted
      * candidates in try order — probes first, then the preferred pod,
-     * then the rest by ascending modeled load. Without it (failover
+     * then the rest by ascending outstanding items. Without it (failover
      * re-dispatch), lists every pod without touching breaker state.
      * The load snapshot is taken under the cluster lock; the sort
      * runs outside it.
      */
     std::vector<Candidate> routeCandidates(uint64_t tenantId,
                                            bool gateHealth);
+
+    /** Outstanding items on pod `pod`, both classes (m_ held). */
+    uint64_t podItemsLocked(size_t pod) const;
+    /** Pod `pod`'s outstanding items priced at its measured rates
+     *  (m_ held). */
+    double podLoadMsLocked(size_t pod) const;
+    /** One request of class `cls` at pod `pod`'s measured rate; 0
+     *  before the pod returns its first batch. Lock-free (the relays
+     *  call it under a pod lock). */
+    double requestMs(size_t cls, size_t pod) const;
 
     /** Tries to place one attempt of `flight` on some candidate pod.
      *  `isRetry` selects failover vs initial-routing accounting. */
@@ -438,7 +444,7 @@ class ServiceCluster {
 
     TenantRegistry* registry_;
     ClusterConfig cfg_;
-    size_t tenantKeyBytesDefault_ = 0;
+    size_t podKeyBytes_ = 0; ///< BootstrapKeys::bytes() of the pods
     /** One pod table per tenant class, index = pod; the lookup table
      *  is empty without a configured pirServer. */
     std::array<PodTable, kClasses> tables_;
@@ -449,7 +455,9 @@ class ServiceCluster {
     mutable std::mutex m_; ///< counters + load table + breakers
     std::condition_variable settleCv_; ///< liveFlights_ drops
     std::array<ClassInfo, kClasses> classes_;
-    std::vector<double> podLoadMs_; ///< modeled outstanding work
+    /** Outstanding items per pod and tenant class: integers, so every
+     *  refund is exact. */
+    std::vector<std::array<uint64_t, kClasses>> podItems_;
     std::vector<CircuitBreaker> breakers_;
     uint64_t submitSeq_ = 0; ///< submission counter (drives chaos)
     size_t liveFlights_ = 0;

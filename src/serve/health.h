@@ -31,14 +31,14 @@
  *    several canaries may fly at once; the first success closes, any
  *    failure reopens.
  *
- * Wedge detection is orthogonal: a pod that *holds* modeled load but
- * produces no completion for `wedgeDecisions` consecutive routing
+ * Wedge detection is orthogonal: a pod that *holds* outstanding work
+ * but produces no completion for `wedgeDecisions` consecutive routing
  * decisions is declared wedged and treated as Open (routed around,
  * but not probed — a wedged pod would just swallow the probe). Any
  * completion from the pod is progress and clears the wedge.
  *
  * Not thread-safe: the cluster mutates breakers under its own mutex,
- * exactly like the pods' modeled-load table.
+ * exactly like the pods' load table.
  */
 
 #ifndef HEAP_SERVE_HEALTH_H
@@ -80,8 +80,8 @@ struct BreakerConfig {
      * canary success closes it.
      */
     double halfOpenCanaryFraction = 0.0;
-    /** Wedge detection: routing decisions a pod may hold modeled load
-     *  without completing anything before it is declared wedged.
+    /** Wedge detection: routing decisions a pod may hold outstanding
+     *  work without completing anything before it is declared wedged.
      *  0 disables wedge detection. */
     uint64_t wedgeDecisions = 256;
 };

@@ -114,6 +114,13 @@ class PipelineBoard {
     /** A runnable task was skipped: downstream queue full. */
     void backpressured(Stage s);
 
+    /** Total execution time of stage `s` so far. */
+    double
+    busyMs(Stage s) const
+    {
+        return c_[static_cast<size_t>(s)].busyMs;
+    }
+
     /** Snapshot with occupancies computed over the busy window. */
     PipelineMetrics snapshot() const;
 

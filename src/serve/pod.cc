@@ -11,8 +11,7 @@ Pod::Pod(const char* name, const ServiceConfig& cfg, size_t lanes,
          size_t batchItems)
     : name_(name),
       cfg_(cfg),
-      planner_(cfg.costModel,
-               BatchPlanner::Config{batchItems, cfg.dispatchOverheadMs}),
+      batchItems_(batchItems),
       queue_(cfg.starvationPasses),
       epoch_(std::chrono::steady_clock::now())
 {
@@ -27,7 +26,7 @@ Pod::Pod(const char* name, const ServiceConfig& cfg, size_t lanes,
                              ? cfg.finishQueueRequests
                              : std::max<size_t>(2, cfg.workers));
     laneBusy_.assign(lanes, 0);
-    laneLoadMs_.assign(lanes, 0.0);
+    laneItems_.assign(lanes, 0);
 }
 
 Pod::~Pod()
@@ -216,7 +215,7 @@ Pod::pickLaneLocked() const
     for (size_t i = 0; i < laneBusy_.size(); ++i) {
         if (!laneBusy_[i]
             && (best == laneBusy_.size()
-                || laneLoadMs_[i] < laneLoadMs_[best])) {
+                || laneItems_[i] < laneItems_[best])) {
             best = i;
         }
     }
@@ -409,8 +408,8 @@ Pod::runDispatch(std::unique_lock<std::mutex>& lock)
     // scheduler state is consistent; the batch runs off it.
     const size_t lane = pickLaneLocked();
     const double slackMs = queue_.minDeadlineAbsMs() - nowMs();
-    PlannedBatch batch = queue_.formBatch(
-        planner_.chooseBatchSize(queue_.pendingItems(), slackMs));
+    PlannedBatch batch = queue_.formBatch(chooseBatchSize(
+        queue_.pendingItems(), batchItems_, slackMs, msPerItem()));
     HEAP_ASSERT(!batch.items.empty(), "empty batch formed");
 
     std::vector<ItemRef> refs;
@@ -434,7 +433,7 @@ Pod::runDispatch(std::unique_lock<std::mutex>& lock)
     occupancySum_ += batch.distinctRequests;
     itemsSum_ += batch.items.size();
     laneBusy_[lane] = 1;
-    laneLoadMs_[lane] += planner_.batchCostMs(batch.items.size(), lane > 0);
+    laneItems_[lane] += batch.items.size();
     ++inFlight_;
     board_.dequeued(Stage::Rotate, batch.items.size());
     board_.taskStarted(Stage::Rotate, now, readyMs);
@@ -461,6 +460,10 @@ Pod::runDispatch(std::unique_lock<std::mutex>& lock)
     // last ticket settles must already count this batch.
     const double end = nowMs();
     board_.taskFinished(Stage::Rotate, now, end);
+    rotatedItems_ += refs.size();
+    msPerItem_.store(board_.busyMs(Stage::Rotate)
+                         / static_cast<double>(rotatedItems_),
+                     std::memory_order_relaxed);
     for (const ItemRef& r : refs) {
         if (err && !r.req->batchError) {
             r.req->batchError = err;

@@ -37,6 +37,7 @@
 #ifndef HEAP_SERVE_POD_H
 #define HEAP_SERVE_POD_H
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -68,11 +69,6 @@ struct ServiceConfig {
     /** Batches a pending request may be skipped by before it jumps
      *  the priority order (starvation protection). */
     size_t starvationPasses = 8;
-    /** Modeled fixed cost per dispatched batch (batch sizing). */
-    double dispatchOverheadMs = 0.05;
-    /** Optional accelerator cost model driving batch sizing and lane
-     *  assignment; not owned, may be nullptr (fixed-size batches). */
-    const hw::BootstrapModel* costModel = nullptr;
     /** Rotate-stage bound, counted in requests with undispatched
      *  items: front work is gated while the pool is at the bound.
      *  0 = max(8, 2 * workers). */
@@ -202,14 +198,28 @@ class Pod {
     /** Dispatch lanes (concurrent batches). */
     size_t lanes() const { return laneBusy_.size(); }
 
+    /**
+     * Measured lane time per rotated item: rotate-stage busy ms over
+     * the items of every returned batch; 0 until the first batch
+     * returns. Deadline batch sizing and the cluster's shedding and
+     * failover deadlines price work with it. Lock-free, because the
+     * cluster reads it from attempt relays that run under this pod's
+     * lock.
+     */
+    double
+    msPerItem() const
+    {
+        return msPerItem_.load(std::memory_order_relaxed);
+    }
+
     const ServiceConfig& config() const { return cfg_; }
 
   protected:
     /**
      * @param name        "bootstrap" / "pir", for error messages
      * @param cfg         workers, admission cap, starvation passes,
-     *                    cost model, stage bounds (0 = derived from
-     *                    the worker count)
+     *                    stage bounds (0 = derived from the worker
+     *                    count)
      * @param lanes       concurrent batch lanes
      * @param batchItems  batch cap in items (resolved, >= 1)
      */
@@ -258,7 +268,7 @@ class Pod {
 
     std::string name_;
     ServiceConfig cfg_;
-    BatchPlanner planner_;
+    size_t batchItems_; ///< batch cap in items
     ItemQueue queue_;
     size_t rotateCap_ = 0; ///< rotate pool bound, in requests
 
@@ -271,7 +281,7 @@ class Pod {
     StageQueue<PodRequest*> finishQ_{Stage::Finish, &board_};
     std::unordered_map<uint64_t, std::unique_ptr<PodRequest>> live_;
     std::vector<uint8_t> laneBusy_;
-    std::vector<double> laneLoadMs_; ///< cumulative modeled work
+    std::vector<uint64_t> laneItems_; ///< items dispatched per lane
     bool paused_ = false;
     bool crashed_ = false;
     bool stopping_ = false;
@@ -287,6 +297,8 @@ class Pod {
              rejected_ = 0, deadlineMisses_ = 0, completionSeq_ = 0;
     size_t maxQueueDepth_ = 0;
     uint64_t batches_ = 0, occupancySum_ = 0, itemsSum_ = 0;
+    uint64_t rotatedItems_ = 0; ///< items of returned batches
+    std::atomic<double> msPerItem_{0.0};
     uint64_t wireOut_ = 0, wireIn_ = 0, retransmits_ = 0,
              reclaimed_ = 0;
     uint64_t injectedFailures_ = 0, crashes_ = 0;

@@ -110,55 +110,19 @@ ItemQueue::formBatch(size_t maxItems)
     return batch;
 }
 
-BatchPlanner::BatchPlanner(const hw::BootstrapModel* model, Config cfg)
-    : model_(model), cfg_(cfg)
-{
-    HEAP_CHECK(cfg.maxBatchItems >= 1, "bad batch cap");
-    HEAP_CHECK(cfg.dispatchOverheadMs >= 0, "bad dispatch overhead");
-}
-
-double
-BatchPlanner::batchCostMs(size_t items, bool remote) const
-{
-    double cost = cfg_.dispatchOverheadMs;
-    if (model_ != nullptr) {
-        cost += model_->blindRotateBatchMs(items);
-        if (remote) {
-            cost += model_->batchCommMs(items);
-        }
-    } else {
-        // Modelless fallback: cost proportional to the item count so
-        // lane balancing still prefers the shorter backlog.
-        cost += static_cast<double>(items) * 0.01;
-    }
-    return cost;
-}
-
 size_t
-BatchPlanner::chooseBatchSize(size_t pendingItems, double slackMs) const
+chooseBatchSize(size_t pendingItems, size_t maxItems, double slackMs,
+                double msPerItem)
 {
-    HEAP_CHECK(pendingItems >= 1, "no pending items");
-    size_t size = std::min(pendingItems, cfg_.maxBatchItems);
-    if (model_ == nullptr || !std::isfinite(slackMs)) {
+    HEAP_CHECK(pendingItems >= 1 && maxItems >= 1, "empty batch");
+    const size_t size = std::min(pendingItems, maxItems);
+    if (!(msPerItem > 0) || !std::isfinite(slackMs)
+        || slackMs < msPerItem) {
         return size;
     }
-    // batchCostMs is monotone in the item count: binary-search the
-    // largest batch whose modeled latency still fits the slack. When
-    // even a single item does not fit, the deadline is already lost —
-    // dispatch a full batch and let the miss be accounted.
-    if (batchCostMs(1, true) > slackMs) {
-        return size;
-    }
-    size_t lo = 1, hi = size;
-    while (lo < hi) {
-        const size_t mid = lo + (hi - lo + 1) / 2;
-        if (batchCostMs(mid, true) <= slackMs) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    return lo;
+    const double fit = slackMs / msPerItem; // >= 1 here
+    return fit < static_cast<double>(size) ? static_cast<size_t>(fit)
+                                           : size;
 }
 
 } // namespace heap::serve

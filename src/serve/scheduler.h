@@ -16,19 +16,18 @@
  *    everything. Single-tenant callers leave every fair rank at 0, so
  *    the tier is inert and the policy reduces to priority/EDF.
  *
- *  - BatchPlanner: picks the batch size from hw::BootstrapModel cost
- *    estimates — as large as the pending work allows (amortizing the
- *    per-batch dispatch/framing overhead) but capped so the modeled
- *    batch latency still fits the tightest pending deadline's slack.
+ *  - chooseBatchSize: as large as the pending work and the cap allow
+ *    (amortizing the per-batch dispatch/framing overhead), cut so the
+ *    batch still fits the tightest pending deadline's slack at the
+ *    pod's measured cost per item.
  */
 
 #ifndef HEAP_SERVE_SCHEDULER_H
 #define HEAP_SERVE_SCHEDULER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "hw/bootstrap_model.h"
 
 namespace heap::serve {
 
@@ -74,7 +73,7 @@ class ItemQueue {
     size_t pendingRequests() const { return pending_.size(); }
 
     /** Tightest absolute deadline among pending requests (infinity
-     *  when none carries one); feeds the planner's slack cap. */
+     *  when none carries one); feeds chooseBatchSize's slack. */
     double minDeadlineAbsMs() const;
 
     /**
@@ -107,41 +106,14 @@ class ItemQueue {
 };
 
 /**
- * Cost-model-driven batch sizing. Without a model it degrades to
- * "fill up to maxBatchItems" — correctness never depends on the
- * model, only batch shape does.
+ * Batch size for the next dispatch: min(pendingItems, maxItems), cut
+ * to floor(slackMs / msPerItem) when the slack (the tightest pending
+ * deadline minus now) is finite and fits at least one item at the
+ * measured `msPerItem`. With no measurement (0) or a deadline already
+ * lost, the batch stays full and the miss is accounted. Never below 1.
  */
-class BatchPlanner {
-  public:
-    struct Config {
-        size_t maxBatchItems = 64;    ///< hard cap (<= ring N)
-        double dispatchOverheadMs = 0.05; ///< per-batch fixed cost
-    };
-
-    /** @param model optional; not owned, must outlive the planner. */
-    BatchPlanner(const hw::BootstrapModel* model, Config cfg);
-
-    /**
-     * Batch size for the next dispatch: min(pendingItems,
-     * maxBatchItems), shrunk while the modeled remote batch latency
-     * exceeds `slackMs` (the tightest pending deadline minus now).
-     * Never below 1; unlimited slack (infinity) keeps the full size.
-     */
-    size_t chooseBatchSize(size_t pendingItems, double slackMs) const;
-
-    /**
-     * Modeled wall-clock of one batch: dispatch overhead + blind
-     * rotation, plus link time for remote lanes. Used for batch
-     * sizing and for least-modeled-backlog lane assignment.
-     */
-    double batchCostMs(size_t items, bool remote) const;
-
-    const Config& config() const { return cfg_; }
-
-  private:
-    const hw::BootstrapModel* model_;
-    Config cfg_;
-};
+size_t chooseBatchSize(size_t pendingItems, size_t maxItems,
+                       double slackMs, double msPerItem);
 
 } // namespace heap::serve
 

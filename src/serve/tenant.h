@@ -52,9 +52,9 @@ struct TenantSpec {
     size_t maxInFlight = 0;
     /** Base scheduling priority added to each submission's own. */
     int priority = 0;
-    /** Modeled bytes of this tenant's bootstrapping-key set (blind-
-     *  rotate + packing keys); 0 = the cluster's default
-     *  (ClusterConfig::defaultTenantKeyBytes). */
+    /** Bytes of this tenant's key set that a pod's key cache must
+     *  hold; 0 = the pods' bootstrapping keys
+     *  (boot::BootstrapKeys::bytes()). */
     size_t keyBytes = 0;
 };
 

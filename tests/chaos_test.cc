@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "ckks/evaluator.h"
-#include "hw/bootstrap_model.h"
 #include "math/primes.h"
 #include "serve/cluster.h"
 
@@ -85,6 +84,18 @@ makeInput(const ckks::Context& ctx, ckks::Evaluator& ev, size_t r)
     auto ct = ctx.encrypt(std::span<const ckks::Complex>(z));
     ev.dropToLevel(ct, 1);
     return ct;
+}
+
+/** One bootstrap straight on every pod (no tenant, no cluster books),
+ *  so each pod has measured its lane time per item. */
+void
+warmPods(ServiceCluster& cluster, PodSet& pods)
+{
+    for (size_t i = 0; i < cluster.podCount(); ++i) {
+        cluster.pod(i).submit(makeInput(*pods.ctx, *pods.ev, 100 + i))
+            ->wait();
+        ASSERT_GT(cluster.pod(i).msPerItem(), 0.0) << "pod " << i;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -575,6 +586,49 @@ TEST(ClusterChaos, FailoverBudgetExhaustionIsTerminal)
     EXPECT_EQ(ts.inFlight, 0u);
 }
 
+TEST(ClusterChaos, FailoverAbandonedWhenBudgetIsBelowOneRequest)
+{
+    auto pods = makePods(7, 2, 1);
+    TenantRegistry reg;
+    reg.registerTenant({.id = 1, .name = "t1"});
+    ServiceCluster cluster(distPtrs(pods), reg, {});
+    const size_t pref = cluster.preferredPod(1);
+
+    // Warm the tenant's preferred pod with one completed request.
+    auto warm = cluster.submit(1, makeInput(*pods.ctx, *pods.ev, 0));
+    EXPECT_NO_THROW(warm->wait());
+    const double requestMs =
+        static_cast<double>(cluster.itemsPerRequest())
+        * cluster.pod(pref).msPerItem();
+    ASSERT_GT(requestMs, 0.0);
+
+    // The preferred pod fails the next request; its whole deadline is
+    // half a measured request, so a retry could only miss: the
+    // failure is terminal, with no re-dispatch.
+    cluster.pod(pref).injectFailures(1);
+    SubmitOptions tight;
+    tight.deadlineMs = requestMs / 2;
+    auto t = cluster.submit(1, makeInput(*pods.ctx, *pods.ev, 1), tight);
+    EXPECT_THROW(t->wait(), PodError);
+    EXPECT_EQ(t->report().attempts, 1u);
+    cluster.drain();
+
+    const ClusterMetrics m = cluster.metrics();
+    EXPECT_EQ(m.requestsCompleted, 1u);
+    EXPECT_EQ(m.requestsFailed, 1u);
+    EXPECT_EQ(m.failovers, 0u);
+    EXPECT_EQ(m.failoverExhausted, 1u);
+    EXPECT_EQ(m.liveFlights, 0u);
+    const TenantStats ts = reg.stats(1);
+    EXPECT_EQ(ts.submitted, 2u);
+    EXPECT_EQ(ts.completed, 1u);
+    EXPECT_EQ(ts.failed, 1u);
+    EXPECT_EQ(ts.inFlight, 0u);
+    for (const uint64_t items : m.podOutstandingItems) {
+        EXPECT_EQ(items, 0u);
+    }
+}
+
 TEST(ClusterChaos, DeadlineShedRejectsNegativeSlack)
 {
     auto pods = makePods(7, 2, 1);
@@ -584,10 +638,11 @@ TEST(ClusterChaos, DeadlineShedRejectsNegativeSlack)
     cfg.shedding.enabled = true;
     cfg.shedding.slackFactor = 1.0;
     ServiceCluster cluster(distPtrs(pods), reg, cfg);
+    warmPods(cluster, pods);
 
-    // Modeled request cost without a model is n * 0.01 ms = 0.64 ms:
-    // a 0.01 ms deadline has negative modeled slack even on an idle
-    // pod and must be shed BEFORE any admission.
+    // A request costs n items at the pods' measured rate, far above
+    // 0.01 ms: that deadline has negative slack even on an idle pod
+    // and must be shed BEFORE any admission.
     SubmitOptions tight;
     tight.deadlineMs = 0.01;
     EXPECT_THROW(
@@ -621,8 +676,11 @@ TEST(ClusterChaos, BrownoutShedsLowPriorityUnderOverload)
     cfg.shedding.brownoutLoadMs = 0.1; // any outstanding work trips it
     cfg.shedding.brownoutMinPriority = 1;
     ServiceCluster cluster(distPtrs(pods), reg, cfg);
+    // Outstanding items weigh their measured cost: a cold pod's weigh
+    // nothing.
+    warmPods(cluster, pods);
 
-    // Hold the pods so modeled load stays outstanding.
+    // Hold the pods so the load stays outstanding.
     for (size_t i = 0; i < cluster.podCount(); ++i) {
         cluster.pod(i).pause();
     }

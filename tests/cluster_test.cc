@@ -18,7 +18,6 @@
 
 #include "ckks/evaluator.h"
 #include "ckks/serialize.h"
-#include "hw/bootstrap_model.h"
 #include "serve/cluster.h"
 
 namespace heap::serve {
@@ -350,14 +349,7 @@ TEST(Cluster, ClusterSmoke)
     reg.registerTenant({.id = 1, .name = "t1", .weight = 1.0});
     reg.registerTenant({.id = 2, .name = "t2", .weight = 2.0});
     reg.registerTenant({.id = 3, .name = "t3", .weight = 4.0});
-    const hw::BootstrapModel model(hw::FpgaConfig{}, hw::HeapParams{},
-                                   8);
-    ClusterConfig cfg;
-    cfg.costModel = &model;
-    // Must hold the model-derived ~1 GB default key footprint
-    // (modeled accounting only, nothing is allocated).
-    cfg.keyCacheBytes = size_t{4} << 30;
-    ServiceCluster cluster(distPtrs(pods), reg, cfg);
+    ServiceCluster cluster(distPtrs(pods), reg);
     EXPECT_EQ(cluster.itemsPerRequest(), 64u);
 
     const auto inputs = makeInputs(*pods.ctx, *pods.ev, 8);
@@ -377,8 +369,11 @@ TEST(Cluster, ClusterSmoke)
     EXPECT_EQ(m.rejectedQuota + m.rejectedCapacity, 0u);
     EXPECT_EQ(m.pods.size(), 2u);
     EXPECT_EQ(m.keyCacheTotal.hits + m.keyCacheTotal.misses, 8u);
-    // The model-derived default key footprint was charged.
-    EXPECT_GT(m.keyCacheTotal.bytesLoaded, 0u);
+    // Tenants without a declared footprint are charged the pods' real
+    // bootstrapping-key bytes on every cache miss.
+    EXPECT_GT(m.keyCacheTotal.misses, 0u);
+    EXPECT_EQ(m.keyCacheTotal.bytesLoaded,
+              m.keyCacheTotal.misses * pods.dists[0]->keys().bytes());
     ASSERT_EQ(m.tenants.size(), 3u);
     uint64_t completed = 0;
     for (const auto& t : m.tenants) {
@@ -389,9 +384,9 @@ TEST(Cluster, ClusterSmoke)
     // Uncontended completion: fairness is NaN or a sane ratio, never
     // a bogus zero.
     EXPECT_TRUE(std::isnan(m.fairnessRatio) || m.fairnessRatio >= 1.0);
-    // Modeled load fully refunded once everything settled.
-    for (const double load : m.podModeledLoadMs) {
-        EXPECT_NEAR(load, 0.0, 1e-9);
+    // Outstanding load fully refunded once everything settled.
+    for (const uint64_t items : m.podOutstandingItems) {
+        EXPECT_EQ(items, 0u);
     }
 }
 
@@ -410,10 +405,9 @@ TEST(Cluster, ZipfTenantMixKeepsPodKeyCachesHot)
     auto pods = makePods(42, kPods, 1);
     TenantRegistry reg;
     for (uint64_t t = 1; t <= kTenants; ++t) {
-        reg.registerTenant({.id = t});
+        reg.registerTenant({.id = t, .keyBytes = kKeyBytes});
     }
     ClusterConfig cfg;
-    cfg.defaultTenantKeyBytes = kKeyBytes;
     cfg.keyCacheBytes = kResidentPerPod * kKeyBytes;
     // Every pod is held below, so stale backlogs are intended.
     cfg.breaker.wedgeDecisions = 0;
@@ -471,24 +465,6 @@ TEST(Cluster, ZipfTenantMixKeepsPodKeyCachesHot)
     EXPECT_GT(kc.evictions, 0u); // the capacity bound actually bit
     EXPECT_GT(kc.hitRate(), 0.5)
         << "hits " << kc.hits << " misses " << kc.misses;
-}
-
-TEST(Cluster, AutoscalingOracleMatchesModeledPodThroughput)
-{
-    const hw::BootstrapModel model(hw::FpgaConfig{}, hw::HeapParams{},
-                                   8);
-    const double rps = model.podThroughputRps(64);
-    ASSERT_GT(rps, 0.0);
-    // The oracle is the ceiling of offered / modeled per-pod rate,
-    // with a floor of one pod.
-    EXPECT_EQ(model.podsNeeded(0.0, 64), 1u);
-    EXPECT_EQ(model.podsNeeded(rps * 0.5, 64), 1u);
-    EXPECT_EQ(model.podsNeeded(rps * 1.0, 64), 1u);
-    EXPECT_EQ(model.podsNeeded(rps * 1.5, 64), 2u);
-    EXPECT_EQ(model.podsNeeded(rps * 6.01, 64), 7u);
-    // Nondecreasing in offered load.
-    EXPECT_GE(model.podsNeeded(rps * 8, 64),
-              model.podsNeeded(rps * 4, 64));
 }
 
 } // namespace

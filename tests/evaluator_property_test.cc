@@ -163,9 +163,13 @@ INSTANTIATE_TEST_SUITE_P(
                       GridPoint{256, 36, 2}, GridPoint{512, 30, 3},
                       GridPoint{1024, 30, 2}),
     [](const ::testing::TestParamInfo<GridPoint>& info) {
-        return "n" + std::to_string(info.param.n) + "q"
-               + std::to_string(info.param.limbBits) + "L"
-               + std::to_string(info.param.levels);
+        std::string name = "n";
+        name += std::to_string(info.param.n);
+        name += "q";
+        name += std::to_string(info.param.limbBits);
+        name += "L";
+        name += std::to_string(info.param.levels);
+        return name;
     });
 
 } // namespace

@@ -3,7 +3,8 @@
  * Hardware-model tests: the modeled numbers must land on the paper's
  * reported values (Tables II-VII shapes) — resource counts exactly,
  * timings within stated tolerances — and must scale structurally
- * (FPGA count, slot count, n_t).
+ * (FPGA count, slot count, n_t), including the pod autoscaling
+ * oracle.
  */
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/app_model.h"
+#include "hw/bootstrap_model.h"
 #include "hw/fab_model.h"
 #include "hw/pir_model.h"
 #include "hw/reference.h"
@@ -295,6 +297,24 @@ TEST_F(HwFixture, ReferenceTablesAreComplete)
     EXPECT_EQ(ref::table5().back().work, "HEAP");
     EXPECT_EQ(ref::table6Lr().back().work, "HEAP");
     EXPECT_EQ(ref::table7Resnet().back().work, "HEAP");
+}
+
+TEST(Cluster, AutoscalingOracleMatchesModeledPodThroughput)
+{
+    const hw::BootstrapModel model(hw::FpgaConfig{}, hw::HeapParams{},
+                                   8);
+    const double rps = model.podThroughputRps(64);
+    ASSERT_GT(rps, 0.0);
+    // The oracle is the ceiling of offered / modeled per-pod rate,
+    // with a floor of one pod.
+    EXPECT_EQ(model.podsNeeded(0.0, 64), 1u);
+    EXPECT_EQ(model.podsNeeded(rps * 0.5, 64), 1u);
+    EXPECT_EQ(model.podsNeeded(rps * 1.0, 64), 1u);
+    EXPECT_EQ(model.podsNeeded(rps * 1.5, 64), 2u);
+    EXPECT_EQ(model.podsNeeded(rps * 6.01, 64), 7u);
+    // Nondecreasing in offered load.
+    EXPECT_GE(model.podsNeeded(rps * 8, 64),
+              model.podsNeeded(rps * 4, 64));
 }
 
 } // namespace

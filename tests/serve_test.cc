@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-runtime tests: the scheduler policy in isolation
- * (ItemQueue ranking/starvation, BatchPlanner sizing), and the
+ * (ItemQueue ranking/starvation, deadline batch sizing), and the
  * BootstrapService end to end — byte-identity of continuously batched
  * multi-client service against sequential per-request bootstrapping
  * (fault-free, fault-injected, and dead-secondary links, for worker
@@ -115,50 +115,57 @@ TEST(ItemQueue, StarvationBoostOvertakesPriority)
 }
 
 // ---------------------------------------------------------------- //
-// BatchPlanner sizing                                              //
+// Deadline batch sizing (chooseBatchSize)                         //
 // ---------------------------------------------------------------- //
 
 TEST(BatchPlanner, ModellessFillsToTheCap)
 {
-    BatchPlanner p(nullptr, {.maxBatchItems = 48});
-    EXPECT_EQ(p.chooseBatchSize(500, kInf), 48u);
-    EXPECT_EQ(p.chooseBatchSize(500, 0.001), 48u); // no model: no cap
-    EXPECT_EQ(p.chooseBatchSize(10, kInf), 10u);
-    EXPECT_GT(p.batchCostMs(64, true), p.batchCostMs(1, true));
+    // No measurement yet (0 ms per item): the batch is the cap or the
+    // pending work, whatever the slack.
+    EXPECT_EQ(chooseBatchSize(500, 48, kInf, 0.0), 48u);
+    EXPECT_EQ(chooseBatchSize(500, 48, 0.001, 0.0), 48u);
+    EXPECT_EQ(chooseBatchSize(10, 48, kInf, 0.0), 10u);
+    // A measurement without a deadline cuts nothing either.
+    EXPECT_EQ(chooseBatchSize(500, 48, kInf, 2.0), 48u);
 }
 
 TEST(BatchPlanner, SlackCapsTheBatchMonotonically)
 {
-    const hw::FpgaConfig cfg;
-    const hw::HeapParams params;
-    const hw::BootstrapModel model(cfg, params, 8);
-    BatchPlanner p(&model, {.maxBatchItems = 512});
+    constexpr double kMsPerItem = 0.75;
+    EXPECT_EQ(chooseBatchSize(512, 512, kInf, kMsPerItem), 512u);
 
-    EXPECT_EQ(p.chooseBatchSize(512, kInf), 512u);
-    const double fullCost = p.batchCostMs(512, true);
-    const double halfCost = p.batchCostMs(256, true);
-    EXPECT_GT(fullCost, halfCost);
+    // Slack ample for the full batch keeps it; otherwise the batch is
+    // the number of whole measured items the slack covers.
+    EXPECT_EQ(chooseBatchSize(512, 512, 1024 * kMsPerItem, kMsPerItem),
+              512u);
+    EXPECT_EQ(chooseBatchSize(512, 512, 256 * kMsPerItem, kMsPerItem),
+              256u);
+    EXPECT_EQ(chooseBatchSize(512, 512, 100.9 * kMsPerItem, kMsPerItem),
+              100u);
+    EXPECT_EQ(chooseBatchSize(512, 512, kMsPerItem, kMsPerItem), 1u);
+    // The cut never exceeds the pending work.
+    EXPECT_EQ(chooseBatchSize(10, 512, 256 * kMsPerItem, kMsPerItem),
+              10u);
 
-    // Slack ample for the full batch keeps it; slack for exactly half
-    // the cost returns a batch whose modeled cost fits.
-    EXPECT_EQ(p.chooseBatchSize(512, fullCost * 2), 512u);
-    const size_t capped = p.chooseBatchSize(512, halfCost);
-    EXPECT_LT(capped, 512u);
-    EXPECT_GE(capped, 1u);
-    EXPECT_LE(p.batchCostMs(capped, true), halfCost);
-    EXPECT_GT(p.batchCostMs(capped + 1, true), halfCost);
-
-    // Tighter (but still feasible) slack never yields a larger batch.
+    // Tighter (but still feasible) slack never yields a larger batch,
+    // every batch fits its slack, and none is empty.
     size_t prev = 512;
-    for (double slack = fullCost; slack >= p.batchCostMs(1, true);
-         slack /= 2) {
-        const size_t s = p.chooseBatchSize(512, slack);
-        EXPECT_LE(s, prev);
+    for (double slack = 1000 * kMsPerItem; slack >= kMsPerItem;
+         slack *= 0.9) {
+        const size_t s = chooseBatchSize(512, 512, slack, kMsPerItem);
+        EXPECT_LE(s, prev) << "slack " << slack;
+        EXPECT_GE(s, 1u) << "slack " << slack;
+        EXPECT_LE(static_cast<double>(s) * kMsPerItem, slack);
         prev = s;
     }
     // A deadline that cannot be met even by one item is already lost:
     // dispatch the full batch and account the miss.
-    EXPECT_EQ(p.chooseBatchSize(512, 0.0), 512u);
+    EXPECT_EQ(chooseBatchSize(512, 512, 0.0, kMsPerItem), 512u);
+    EXPECT_EQ(chooseBatchSize(512, 512, -5.0, kMsPerItem), 512u);
+    EXPECT_EQ(chooseBatchSize(512, 512, 0.99 * kMsPerItem, kMsPerItem),
+              512u);
+    // A zero measurement keeps the full batch at any finite slack.
+    EXPECT_EQ(chooseBatchSize(512, 512, 1.0, 0.0), 512u);
 }
 
 // ---------------------------------------------------------------- //
@@ -550,6 +557,38 @@ TEST_F(ServeFixture, DeadlineMissIsAccountedNeverDropped)
     EXPECT_TRUE(t->report().deadlineMissed);
     EXPECT_EQ(svc.metrics().deadlineMisses, 1u);
     EXPECT_EQ(svc.metrics().completed, 1u);
+}
+
+TEST_F(ServeFixture, DeadlineSlackShrinksBatchesAtMeasuredCost)
+{
+    constexpr uint64_t kSeed = 21;
+    const auto want = sequentialBytes(kSeed, 1, 2);
+
+    ckks::Context ctx(serveParams(), kSeed);
+    ckks::Evaluator ev(ctx);
+    boot::DistributedBootstrapper dist(ctx, 1, kBrGadget);
+    const auto inputs = makeInputs(ctx, ev, 2);
+
+    BootstrapService svc(dist, {.workers = 1});
+    constexpr size_t kCap = 64; // maxBatchItems 0 = the ring dimension
+    EXPECT_EQ(svc.msPerItem(), 0.0); // nothing measured yet
+    // Warm-up: no deadline, so one full batch; its lane time is the
+    // pod's first measurement.
+    auto warm = svc.submit(inputs[0]);
+    EXPECT_TRUE(ckks::saveCiphertext(warm->wait()) == want[0]);
+    EXPECT_EQ(warm->report().batches, 1u);
+    const double msPerItem = svc.msPerItem();
+    ASSERT_GT(msPerItem, 0.0);
+
+    // Slack for half the cap at the measured rate: the first batch is
+    // cut to what fits, and the request spans several batches.
+    auto t = svc.submit(inputs[1], {.deadlineMs = kCap / 2 * msPerItem});
+    EXPECT_TRUE(ckks::saveCiphertext(t->wait()) == want[1]);
+    EXPECT_GT(t->report().batches, 1u);
+    const ServiceMetrics m = svc.metrics();
+    EXPECT_LT(m.meanBatchItems, static_cast<double>(kCap));
+    EXPECT_EQ(m.completed, 2u);
+    EXPECT_EQ(m.failed, 0u);
 }
 
 TEST_F(ServeFixture, ShutdownDrainsInFlightWorkThenRejects)

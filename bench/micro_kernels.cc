@@ -179,6 +179,158 @@ BM_ExternalProduct(benchmark::State& state)
 }
 BENCHMARK(BM_ExternalProduct);
 
+// One blind-rotation CMux step's fused pair at boot_single's shape:
+// N = 64, three 30-bit limbs, a 6 x 6 gadget, Coeff accumulator.
+void
+BM_ExternalProductPair(benchmark::State& state)
+{
+    const size_t n = 64;
+    const auto basis = std::make_shared<math::RnsBasis>(
+        n, math::generateNttPrimes(30, n, 3));
+    Rng rng(8);
+    const auto sk = rlwe::SecretKey::sampleTernary(basis, rng);
+    const rlwe::GadgetParams gadget{.baseBits = 6, .digitsPerLimb = 6};
+    const auto C0 = rlwe::rgswEncryptConstant(sk, 1, gadget, rng);
+    const auto C1 = rlwe::rgswEncryptConstant(sk, -1, gadget, rng);
+    std::vector<int64_t> m(n, 0);
+    m[0] = 1 << 20;
+    auto ct = rlwe::encrypt(sk, math::rnsFromSigned(basis, 3, m), rng);
+    ct.toCoeff();
+    for (auto _ : state) {
+        auto out = rlwe::externalProductPair(ct, C0, C1);
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_ExternalProductPair);
+
+// The pair's kernels per SIMD level, pinned through kernelsForLevel
+// (a level the host lacks degrades; the label names the one that ran):
+// args are (level, n, rows). Items are digit rows, so items/s compares
+// the row-lane transform against one NTT per row directly.
+const math::SimdLevel kBenchLevels[] = {
+    math::SimdLevel::Scalar, math::SimdLevel::Avx2,
+    math::SimdLevel::Avx512, math::SimdLevel::Neon};
+
+// `perRow` runs the same rows through one liftSigned and one
+// nttForward call each: the path liftNttRows replaces, for the
+// row-lane crossover.
+void
+liftNttBench(benchmark::State& state, bool perRow)
+{
+    const math::KernelOps& ops =
+        math::kernelsForLevel(kBenchLevels[state.range(0)]);
+    const size_t n = static_cast<size_t>(state.range(1));
+    const size_t rows = static_cast<size_t>(state.range(2));
+    const math::NttTables ntt(n, pickPrime(n, 30));
+    Rng rng(9);
+    std::vector<int64_t> digits(rows * n);
+    for (auto& v : digits) {
+        v = static_cast<int64_t>(rng.uniform(64)) - 32;
+    }
+    std::vector<uint64_t> out(rows * n);
+    for (auto _ : state) {
+        if (perRow) {
+            for (size_t r = 0; r < rows; ++r) {
+                ops.liftSigned(out.data() + r * n, digits.data() + r * n,
+                               n, ntt.modulus());
+                ops.nttForward(out.data() + r * n, ntt.view());
+            }
+        } else {
+            ops.liftNttRows(out.data(), digits.data(), rows, ntt.view());
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<int64_t>(rows));
+    state.SetLabel(math::simdLevelName(ops.level));
+}
+
+void
+BM_LiftNttRows(benchmark::State& state)
+{
+    liftNttBench(state, false);
+}
+BENCHMARK(BM_LiftNttRows)
+    ->ArgsProduct({{0, 1, 2, 3}, {64, 128, 256, 512, 1024}, {8, 36}});
+
+void
+BM_LiftNttPerRow(benchmark::State& state)
+{
+    liftNttBench(state, true);
+}
+BENCHMARK(BM_LiftNttPerRow)
+    ->ArgsProduct({{2}, {64, 128, 256, 512, 1024}, {8, 36}});
+
+void
+BM_MacReduce(benchmark::State& state)
+{
+    const math::KernelOps& ops =
+        math::kernelsForLevel(kBenchLevels[state.range(0)]);
+    const size_t n = static_cast<size_t>(state.range(1));
+    const size_t sums = 4;
+    const math::BarrettReducer red(pickPrime(n, 30));
+    Rng rng(10);
+    std::vector<std::vector<uint64_t>> keys(sums);
+    std::vector<const uint64_t*> key;
+    for (auto& k : keys) {
+        k.resize(n);
+        for (auto& v : k) {
+            v = rng.uniform(red.modulus());
+        }
+        key.push_back(k.data());
+    }
+    std::vector<uint64_t> acc(2 * sums * n);
+    std::vector<uint64_t> out(sums * n);
+    uint64_t* dst[sums];
+    for (size_t c = 0; c < sums; ++c) {
+        dst[c] = out.data() + c * n;
+    }
+    uint64_t terms = 0;
+    for (int i = 0; i < 36; ++i) {
+        ops.macLazy(acc.data(), terms, keys[i % sums].data(), key.data(), 1,
+                    sums, n, red);
+    }
+    for (auto _ : state) {
+        ops.macReduce(dst, acc.data(), sums, n, red);
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(math::simdLevelName(ops.level));
+}
+BENCHMARK(BM_MacReduce)->ArgsProduct({{0, 1, 2, 3}, {64, 1024}});
+
+// One output limb of the pair's MAC at boot_single's shape (36 rows,
+// 4 sums, n = 64), handed over `arg` rows per macLazy call: 36 is the
+// gadget product's row group, 1 the per-row calls it replaced.
+void
+BM_MacLazyGroup(benchmark::State& state)
+{
+    const math::KernelOps& ops =
+        math::kernelsForLevel(math::SimdLevel::Avx512);
+    const size_t n = 64, sums = 4, rows = 36;
+    const size_t perCall = static_cast<size_t>(state.range(0));
+    const math::BarrettReducer red(pickPrime(n, 30));
+    Rng rng(11);
+    std::vector<uint64_t> data((rows + rows * sums) * n);
+    for (auto& v : data) {
+        v = rng.uniform(red.modulus());
+    }
+    std::vector<const uint64_t*> keys(rows * sums);
+    for (size_t i = 0; i < keys.size(); ++i) {
+        keys[i] = data.data() + (rows + i) * n;
+    }
+    std::vector<uint64_t> acc(2 * sums * n);
+    for (auto _ : state) {
+        uint64_t terms = 0;
+        for (size_t r = 0; r < rows; r += perCall) {
+            ops.macLazy(acc.data(), terms, data.data() + r * n,
+                        keys.data() + r * sums, perCall, sums, n, red);
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(math::simdLevelName(ops.level));
+}
+BENCHMARK(BM_MacLazyGroup)->Arg(1)->Arg(36);
+
 void
 BM_KeySwitch(benchmark::State& state)
 {

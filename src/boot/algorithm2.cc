@@ -125,8 +125,11 @@ finishBootstrap(rlwe::Ciphertext ctKq, const ModSwitched& ms,
     HEAP_ASSERT(ctKq.limbCount() == bootLimbs - 1,
                 "limb accounting error");
 
+    // A copy, not a move: the rescale dropped the auxiliary limb but
+    // kept its words, and a copy keeps only the active limbs, so a
+    // result that outlives the bootstrap does not carry them.
     ckks::Ciphertext out;
-    out.ct = std::move(ctKq);
+    out.ct = ctKq;
     out.scale = inScale
                 * (static_cast<double>(twoN) * static_cast<double>(c)
                    / static_cast<double>(p));

@@ -21,23 +21,30 @@
 
 namespace heap {
 
-/** Owning, zero-initialized, 64-byte-aligned array of uint64_t. */
+/** Owning, zero-initialized (unless asked not to), 64-byte-aligned
+ *  array of uint64_t. */
 class AlignedU64 {
   public:
     AlignedU64() = default;
 
-    explicit AlignedU64(size_t words) { allocate(words); }
+    explicit AlignedU64(size_t words) { allocate(words, true); }
+
+    /** Tag: leave the words uninitialized (scratch that is always
+     *  written before it is read). */
+    struct Uninitialized {};
+    AlignedU64(size_t words, Uninitialized) { allocate(words, false); }
 
     AlignedU64(const AlignedU64& other)
     {
-        allocate(other.words_);
+        allocate(other.words_, true);
         if (words_ > 0) {
             std::memcpy(data_, other.data_, words_ * sizeof(uint64_t));
         }
     }
 
     AlignedU64(AlignedU64&& other) noexcept
-        : data_(std::exchange(other.data_, nullptr)),
+        : raw_(std::exchange(other.raw_, nullptr)),
+          data_(std::exchange(other.data_, nullptr)),
           words_(std::exchange(other.words_, 0))
     {
     }
@@ -57,6 +64,7 @@ class AlignedU64 {
     {
         if (this != &other) {
             release();
+            raw_ = std::exchange(other.raw_, nullptr);
             data_ = std::exchange(other.data_, nullptr);
             words_ = std::exchange(other.words_, 0);
         }
@@ -73,31 +81,45 @@ class AlignedU64 {
 
   private:
     void
-    allocate(size_t words)
+    allocate(size_t words, bool zero)
     {
         words_ = words;
         if (words == 0) {
             data_ = nullptr;
             return;
         }
-        // aligned_alloc requires the size to be a multiple of the
-        // alignment; round the byte count up to the next cache line.
-        const size_t bytes = (words * sizeof(uint64_t) + 63) & ~size_t{63};
-        data_ = static_cast<uint64_t*>(std::aligned_alloc(64, bytes));
-        if (data_ == nullptr) {
+        // Aligned by hand inside a plain malloc block, not by
+        // aligned_alloc: glibc's aligned allocator carves each block
+        // out of a larger request, so a freed block is smaller than
+        // the next same-size request needs and cannot be reused. A
+        // long-lived buffer then strands the freed ones around it.
+        // The byte count still rounds up to a whole cache line.
+        const size_t bytes =
+            (words * sizeof(uint64_t) + kAlign - 1) & ~(kAlign - 1);
+        raw_ = std::malloc(bytes + kAlign - 1);
+        if (raw_ == nullptr) {
             throw std::bad_alloc();
         }
-        std::memset(data_, 0, bytes);
+        data_ = reinterpret_cast<uint64_t*>(
+            (reinterpret_cast<uintptr_t>(raw_) + kAlign - 1)
+            & ~uintptr_t{kAlign - 1});
+        if (zero) {
+            std::memset(data_, 0, bytes);
+        }
     }
 
     void
     release()
     {
-        std::free(data_);
+        std::free(raw_);
+        raw_ = nullptr;
         data_ = nullptr;
         words_ = 0;
     }
 
+    static constexpr size_t kAlign = 64;
+
+    void* raw_ = nullptr; ///< the malloc block data_ is aligned in
     uint64_t* data_ = nullptr;
     size_t words_ = 0;
 };

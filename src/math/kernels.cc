@@ -88,8 +88,8 @@ namespace {
  *  constant so the c loop unrolls to one mulq/add/adc per sum. */
 template <size_t Sums>
 void
-macRowsScalar(uint128* sum, const uint64_t* row,
-              const uint64_t* const* keys, size_t n)
+macRowScalar(uint128* sum, const uint64_t* row,
+             const uint64_t* const* keys, size_t n)
 {
     for (size_t t = 0; t < n; ++t) {
         const uint128 x = row[t];
@@ -107,30 +107,33 @@ macRowsScalar(uint128* sum, const uint64_t* row,
 // m * q < 2^64: the budget is floor((2^64 - 1) / q), tested without a
 // divide.
 void
-detail::macLazyScalar(uint64_t* acc, uint64_t& terms, const uint64_t* row,
-                      const uint64_t* const* keys, size_t sums, size_t n,
-                      const BarrettReducer& red)
+detail::macLazyScalar(uint64_t* acc, uint64_t& terms, const uint64_t* rows,
+                      const uint64_t* const* keys, size_t count,
+                      size_t sums, size_t n, const BarrettReducer& red)
 {
     auto* sum = reinterpret_cast<uint128*>(acc);
     if (terms == 0) {
         std::uninitialized_fill_n(sum, sums * n, uint128{0});
-    } else if ((static_cast<uint128>(terms + 1) * red.modulus()) >> 64) {
-        for (size_t i = 0; i < sums * n; ++i) {
-            sum[i] = red.reduce(sum[i]);
-        }
-        terms = 0;
     }
-    ++terms;
-    switch (sums) {
-    case 2:
-        macRowsScalar<2>(sum, row, keys, n);
-        break;
-    case 4:
-        macRowsScalar<4>(sum, row, keys, n);
-        break;
-    default:
-        for (size_t c = 0; c < sums; ++c) {
-            macRowsScalar<1>(sum + c * n, row, keys + c, n);
+    for (size_t r = 0; r < count; ++r, rows += n, keys += sums) {
+        if ((static_cast<uint128>(terms + 1) * red.modulus()) >> 64) {
+            for (size_t i = 0; i < sums * n; ++i) {
+                sum[i] = red.reduce(sum[i]);
+            }
+            terms = 0;
+        }
+        ++terms;
+        switch (sums) {
+        case 2:
+            macRowScalar<2>(sum, rows, keys, n);
+            break;
+        case 4:
+            macRowScalar<4>(sum, rows, keys, n);
+            break;
+        default:
+            for (size_t c = 0; c < sums; ++c) {
+                macRowScalar<1>(sum + c * n, rows, keys + c, n);
+            }
         }
     }
 }
@@ -238,6 +241,9 @@ makeScalarOps()
     ops.mulScalarShoup = &mulScalarShoupScalar;
     ops.mulScalarShoupAccum = &mulScalarShoupAccumScalar;
     ops.liftSigned = &liftSignedScalar;
+    ops.liftNttRows =
+        &detail::liftNttRowsPerRow<&liftSignedScalar,
+                                   &detail::nttForwardScalarLazy>;
     ops.macLazy = &detail::macLazyScalar;
     ops.macReduce = &detail::macReduceScalar;
     return ops;

@@ -15,6 +15,10 @@
  *    the inverse (Cooley-Tukey) stages, exploiting the q < 2^62
  *    headroom guaranteed by modarith.h — and normalized exactly once
  *    in the final twist pass;
+ *  - the gadget product's digit transform (liftNttRows) takes a group
+ *    of digit rows per call, so a variant may transform rows side by
+ *    side: the AVX-512 IFMA body puts 8 rows in the 8 lanes of each
+ *    vector (DESIGN.md "Row-lane gadget core");
  *  - the gadget-product multiply-accumulate (macLazy/macReduce) keeps
  *    unreduced sums between calls, in a layout each variant owns, and
  *    reduces them exactly: its canonical outputs do not depend on the
@@ -110,19 +114,32 @@ struct KernelOps {
     void (*liftSigned)(uint64_t* dst, const int64_t* a, size_t n,
                        uint64_t q);
     /**
-     * The gadget product's multiply-accumulate (rlwe/gadget.cc): adds
-     * row[t] * keys[c][t] into lazy sum c, for c < sums and t < n.
-     * The sums live in acc, 2 * sums * n words laid out by the
-     * variant (per q: a variant hands moduli it cannot take to the
-     * scalar body), so only macLazy and macReduce read them. `terms`
-     * counts the rows added since the sums were last reduced: 0
-     * starts empty sums, and when it reaches the variant's budget for
-     * q the sums are reduced in place before the row is added.
-     * @pre row[t] < q and keys[c][t] < q.
+     * The gadget product's digit transform (rlwe/gadget.cc): lifts
+     * `count` signed digit rows, row r at digits[r * t.n, +t.n), into
+     * [0, q) and forward-NTTs each into rows[r * t.n, +t.n), the
+     * row-major layout macLazy reads. Equal word for word to
+     * liftSigned then nttForward on every row; the AVX-512 IFMA body
+     * transforms 8 rows at once, one per 64-bit lane (DESIGN.md,
+     * "Row-lane gadget core").
+     * @pre |digits[i]| < t.q; rows and digits do not overlap.
      */
-    void (*macLazy)(uint64_t* acc, uint64_t& terms, const uint64_t* row,
-                    const uint64_t* const* keys, size_t sums, size_t n,
-                    const BarrettReducer& red);
+    void (*liftNttRows)(uint64_t* rows, const int64_t* digits,
+                        size_t count, const NttTablesView& t);
+    /**
+     * The gadget product's multiply-accumulate (rlwe/gadget.cc): adds
+     * rows[r * n + t] * keys[r * sums + c][t] into lazy sum c, for
+     * r < count, c < sums and t < n. The sums live in acc, 2 * sums * n
+     * words laid out by the variant (per q: a variant hands moduli it
+     * cannot take to the scalar body), so only macLazy and macReduce
+     * read them. `terms` counts the rows added since the sums were last
+     * reduced: 0 starts empty sums, and whenever it reaches the
+     * variant's budget for q the sums are reduced in place before the
+     * next row is added.
+     * @pre rows[i] < q and keys[j][t] < q.
+     */
+    void (*macLazy)(uint64_t* acc, uint64_t& terms, const uint64_t* rows,
+                    const uint64_t* const* keys, size_t count,
+                    size_t sums, size_t n, const BarrettReducer& red);
     /** dst[c][t] = lazy sum c at t mod q, for the sums of macLazy. */
     void (*macReduce)(uint64_t* const* dst, const uint64_t* acc,
                       size_t sums, size_t n, const BarrettReducer& red);
@@ -149,11 +166,25 @@ void nttInverseScalarLazy(uint64_t* a, const NttTablesView& t);
 
 /** Portable 128-bit MAC bodies (the fallback of the SIMD variants
  *  for moduli they cannot take; see KernelOps::macLazy). */
-void macLazyScalar(uint64_t* acc, uint64_t& terms, const uint64_t* row,
-                   const uint64_t* const* keys, size_t sums, size_t n,
-                   const BarrettReducer& red);
+void macLazyScalar(uint64_t* acc, uint64_t& terms, const uint64_t* rows,
+                   const uint64_t* const* keys, size_t count, size_t sums,
+                   size_t n, const BarrettReducer& red);
 void macReduceScalar(uint64_t* const* dst, const uint64_t* acc,
                      size_t sums, size_t n, const BarrettReducer& red);
+
+/** KernelOps::liftNttRows as one Lift and one Ntt call per row: the
+ *  body of every variant without a row-lane transform. */
+template <void (*Lift)(uint64_t*, const int64_t*, size_t, uint64_t),
+          void (*Ntt)(uint64_t*, const NttTablesView&)>
+void
+liftNttRowsPerRow(uint64_t* rows, const int64_t* digits, size_t count,
+                  const NttTablesView& t)
+{
+    for (size_t r = 0; r < count; ++r) {
+        Lift(rows + r * t.n, digits + r * t.n, t.n, t.q);
+        Ntt(rows + r * t.n, t);
+    }
+}
 
 } // namespace detail
 
@@ -182,6 +213,23 @@ namespace detail {
 void nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t);
 void nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t);
 /**
+ * Largest n the row-lane transform takes: its 8 lanes of n words
+ * (32 KB at this n) live on the stack and must stay in L1. Measured
+ * per row against per-row IFMA NTTs (bench/micro_kernels,
+ * BM_LiftNttRows vs BM_LiftNttPerRow), lanes win up to n = 512 and
+ * lose at n = 1024, where the lanes spill out of L1.
+ */
+inline constexpr size_t kIfmaRowLanesMaxN = 512;
+/**
+ * Row-lane liftNttRows for the IFMA tables (same preconditions as
+ * nttForwardAvx512Ifma, plus 8 <= n <= kIfmaRowLanesMaxN): each group
+ * of <= 8 rows is transposed so lane k holds row k, lifted, run
+ * through vertical butterflies that share one broadcast twiddle, and
+ * transposed back.
+ */
+void liftNttRowsAvx512Ifma(uint64_t* rows, const int64_t* digits,
+                           size_t count, const NttTablesView& t);
+/**
  * IFMA MAC bodies: each sum is a lo and a hi 64-bit lane per
  * coefficient, lo += low52(x * k) and hi += high52(x * k), so the
  * value is lo + hi * 2^52 (exact for q < 2^kIfmaMacModulusBits; other
@@ -189,8 +237,9 @@ void nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t);
  * installs them after the same avx512ifma cpuid check.
  */
 void macLazyAvx512Ifma(uint64_t* acc, uint64_t& terms,
-                       const uint64_t* row, const uint64_t* const* keys,
-                       size_t sums, size_t n, const BarrettReducer& red);
+                       const uint64_t* rows, const uint64_t* const* keys,
+                       size_t count, size_t sums, size_t n,
+                       const BarrettReducer& red);
 void macReduceAvx512Ifma(uint64_t* const* dst, const uint64_t* acc,
                          size_t sums, size_t n,
                          const BarrettReducer& red);

@@ -387,6 +387,8 @@ installAvx2Kernels(KernelOps& ops)
     ops.mulScalarShoup = &mulScalarShoupAvx2;
     ops.mulScalarShoupAccum = &mulScalarShoupAccumAvx2;
     ops.liftSigned = &liftSignedAvx2;
+    ops.liftNttRows =
+        &detail::liftNttRowsPerRow<&liftSignedAvx2, &nttForwardAvx2>;
     // mulMod / mulModAccum stay scalar: the 128-bit Barrett reduction
     // has no profitable AVX2 formulation (no 64-bit vector multiply).
 }

@@ -21,25 +21,41 @@
 namespace heap::math {
 namespace {
 
+// GCC 12's unmasked vpsrlq/vpmuludq intrinsics merge into
+// _mm512_undefined_epi32(), which -Wmaybe-uninitialized flags once
+// inlined; their all-lanes zero-masked forms compile to the same
+// unmasked instructions.
+constexpr __mmask8 kAllLanes = 0xFF;
+
+inline __m512i
+shiftHi32(__m512i x)
+{
+    return _mm512_maskz_srli_epi64(kAllLanes, x, 32);
+}
+
+inline __m512i
+mulLo32(__m512i x, __m512i y)
+{
+    return _mm512_maskz_mul_epu32(kAllLanes, x, y);
+}
+
 /** High 64 bits of the 64x64 product, per lane. */
 inline __m512i
 mulHi64v(__m512i x, __m512i y)
 {
     const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
-    const __m512i xh = _mm512_srli_epi64(x, 32);
-    const __m512i yh = _mm512_srli_epi64(y, 32);
-    const __m512i ll = _mm512_mul_epu32(x, y);
-    const __m512i lh = _mm512_mul_epu32(x, yh);
-    const __m512i hl = _mm512_mul_epu32(xh, y);
-    const __m512i hh = _mm512_mul_epu32(xh, yh);
+    const __m512i xh = shiftHi32(x);
+    const __m512i yh = shiftHi32(y);
+    const __m512i ll = mulLo32(x, y);
+    const __m512i lh = mulLo32(x, yh);
+    const __m512i hl = mulLo32(xh, y);
+    const __m512i hh = mulLo32(xh, yh);
     const __m512i cross = _mm512_add_epi64(
-        _mm512_add_epi64(_mm512_srli_epi64(ll, 32),
-                         _mm512_and_si512(lh, lo32)),
+        _mm512_add_epi64(shiftHi32(ll), _mm512_and_si512(lh, lo32)),
         _mm512_and_si512(hl, lo32));
     return _mm512_add_epi64(
-        _mm512_add_epi64(hh, _mm512_srli_epi64(lh, 32)),
-        _mm512_add_epi64(_mm512_srli_epi64(hl, 32),
-                         _mm512_srli_epi64(cross, 32)));
+        _mm512_add_epi64(hh, shiftHi32(lh)),
+        _mm512_add_epi64(shiftHi32(hl), shiftHi32(cross)));
 }
 
 /** Lazy Shoup product a*w in [0, 2q); a arbitrary, w < q. */
@@ -322,6 +338,23 @@ liftSignedAvx512(uint64_t* dst, const int64_t* a, size_t n, uint64_t q)
     }
 }
 
+void
+liftNttRowsAvx512(uint64_t* rows, const int64_t* digits, size_t count,
+                  const NttTablesView& t)
+{
+#if defined(HEAP_HAVE_AVX512IFMA)
+    // Row lanes need whole 8 x 8 blocks and lanes that fit in L1;
+    // elsewhere each row takes the per-row NTT (IFMA or not).
+    if (t.psi52 != nullptr && cpuHasIfma() && t.n % 8 == 0
+        && t.n <= detail::kIfmaRowLanesMaxN) {
+        detail::liftNttRowsAvx512Ifma(rows, digits, count, t);
+        return;
+    }
+#endif
+    detail::liftNttRowsPerRow<&liftSignedAvx512, &nttForwardAvx512>(
+        rows, digits, count, t);
+}
+
 } // namespace
 
 namespace detail {
@@ -342,6 +375,7 @@ installAvx512Kernels(KernelOps& ops)
     ops.mulScalarShoup = &mulScalarShoupAvx512;
     ops.mulScalarShoupAccum = &mulScalarShoupAccumAvx512;
     ops.liftSigned = &liftSignedAvx512;
+    ops.liftNttRows = &liftNttRowsAvx512;
 #if defined(HEAP_HAVE_AVX512IFMA)
     if (cpuHasIfma()) {
         ops.macLazy = &detail::macLazyAvx512Ifma;

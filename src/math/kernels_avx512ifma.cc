@@ -34,6 +34,11 @@
  * moduli, and n that whole vectors do not cover, take the scalar
  * 128-bit body. The AVX-512 table installs these after its avx512ifma
  * cpuid check.
+ *
+ * The row-lane transform (liftNttRowsAvx512Ifma) runs the forward NTT
+ * of 8 digit rows at once, row k in lane k: every butterfly is
+ * vertical, between two vectors that share one broadcast twiddle, so
+ * no stage permutes inside a register.
  */
 
 #if defined(HEAP_HAVE_AVX512IFMA) && (defined(__x86_64__) || defined(__i386__))
@@ -49,16 +54,52 @@ namespace {
 
 constexpr uint64_t kMask52 = (static_cast<uint64_t>(1) << 52) - 1;
 
-/** Lazy 52-bit Shoup product a*w in [0, 2q); a < 2^52, w < q < 2^50. */
+/** v in every lane. */
 inline __m512i
-shoupLazy52V(__m512i a, __m512i w, __m512i w52, __m512i q,
+splat(uint64_t v)
+{
+    return _mm512_set1_epi64(static_cast<int64_t>(v));
+}
+
+// GCC 12's unmasked permute, shift and unpack intrinsics merge into
+// _mm512_undefined_epi32(), which -Wmaybe-uninitialized flags once
+// inlined; their all-lanes zero-masked forms compile to the same
+// unmasked instructions.
+constexpr __mmask8 kAllLanes = 0xFF;
+
+inline __m512i
+permute(__m512i idx, __m512i z)
+{
+    return _mm512_maskz_permutexvar_epi64(kAllLanes, idx, z);
+}
+
+inline __m512i
+shiftHi52(__m512i x)
+{
+    return _mm512_maskz_srli_epi64(kAllLanes, x, 52);
+}
+
+/**
+ * Lazy 52-bit Shoup product a*w in [0, 2q); a < 2^52, w < q < 2^50,
+ * negQ = 2^52 - q. The quotient estimate's product is added as
+ * hi * (2^52 - q), which is -hi * q mod 2^52, so the third multiply
+ * accumulates onto the first and no subtract is needed.
+ */
+inline __m512i
+shoupLazy52V(__m512i a, __m512i w, __m512i w52, __m512i negQ,
              __m512i zero, __m512i mask52)
 {
     const __m512i hi = _mm512_madd52hi_epu64(zero, a, w52);
     const __m512i lo = _mm512_madd52lo_epu64(zero, a, w);
-    const __m512i lo2 = _mm512_madd52lo_epu64(zero, hi, q);
-    // True result < 2q < 2^51, so the mod-2^52 difference is exact.
-    return _mm512_and_si512(_mm512_sub_epi64(lo, lo2), mask52);
+    // True result < 2q < 2^51, so the value mod 2^52 is exact.
+    return _mm512_and_si512(_mm512_madd52lo_epu64(lo, hi, negQ), mask52);
+}
+
+/** 2^52 - q in every lane: shoupLazy52V's form of q. */
+inline __m512i
+negQ52(uint64_t q)
+{
+    return splat((uint64_t{1} << 52) - q);
 }
 
 /** x >= lim ? x - lim : x, unsigned lanes. */
@@ -77,15 +118,15 @@ condSubV(__m512i x, __m512i lim)
  */
 inline __m512i
 fwdStageSmallV(__m512i z, __m512i uIdx, __m512i vIdx, __mmask8 vMask,
-               __m512i w, __m512i w52, __m512i q, __m512i twoQ,
+               __m512i w, __m512i w52, __m512i negQ, __m512i twoQ,
                __m512i zero, __m512i mask52)
 {
-    const __m512i u = _mm512_permutexvar_epi64(uIdx, z);
-    const __m512i v = _mm512_permutexvar_epi64(vIdx, z);
+    const __m512i u = permute(uIdx, z);
+    const __m512i v = permute(vIdx, z);
     const __m512i sum = condSubV(_mm512_add_epi64(u, v), twoQ);
     const __m512i diff =
         _mm512_add_epi64(_mm512_sub_epi64(u, v), twoQ);
-    const __m512i prod = shoupLazy52V(diff, w, w52, q, zero, mask52);
+    const __m512i prod = shoupLazy52V(diff, w, w52, negQ, zero, mask52);
     return _mm512_mask_blend_epi64(vMask, sum, prod);
 }
 
@@ -95,39 +136,101 @@ fwdStageSmallV(__m512i z, __m512i uIdx, __m512i vIdx, __mmask8 vMask,
  */
 inline __m512i
 invStageSmallV(__m512i z, __m512i uIdx, __m512i vIdx, __mmask8 vMask,
-               __m512i w, __m512i w52, __m512i q, __m512i twoQ,
+               __m512i w, __m512i w52, __m512i negQ, __m512i twoQ,
                __m512i zero, __m512i mask52)
 {
     const __m512i u =
-        condSubV(_mm512_permutexvar_epi64(uIdx, z), twoQ);
-    const __m512i v = shoupLazy52V(_mm512_permutexvar_epi64(vIdx, z),
-                                   w, w52, q, zero, mask52);
+        condSubV(permute(uIdx, z), twoQ);
+    const __m512i v = shoupLazy52V(permute(vIdx, z),
+                                   w, w52, negQ, zero, mask52);
     const __m512i x = _mm512_add_epi64(u, v);
     const __m512i y =
         _mm512_add_epi64(_mm512_sub_epi64(u, v), twoQ);
     return _mm512_mask_blend_epi64(vMask, x, y);
 }
 
-/** Sum c += row * keys[c] as lo/hi lanes; Sums is a constant so one
- *  row load feeds every sum. @pre n % 8 == 0. */
+/**
+ * Sum c += rows[r] * keys[r * stride + c] as lo/hi lanes, r < count.
+ * Per 8 coefficients the 2 * Sums lanes stay in registers across all
+ * the rows, so a row costs one load per key and no acc traffic.
+ * @pre n % 8 == 0.
+ */
 template <size_t Sums>
 void
-macRowsIfma(uint64_t* acc, const uint64_t* row,
-            const uint64_t* const* keys, size_t n)
+macRowsIfma(uint64_t* acc, const uint64_t* rows,
+            const uint64_t* const* keys, size_t stride, size_t count,
+            size_t n)
 {
     for (size_t t = 0; t < n; t += 8) {
-        const __m512i x = _mm512_loadu_si512(row + t);
+        __m512i lo[Sums];
+        __m512i hi[Sums];
         for (size_t c = 0; c < Sums; ++c) {
-            uint64_t* lo = acc + 2 * c * n + t;
-            uint64_t* hi = lo + n;
-            const __m512i k = _mm512_loadu_si512(keys[c] + t);
-            _mm512_storeu_si512(
-                lo, _mm512_madd52lo_epu64(_mm512_loadu_si512(lo), x, k));
-            _mm512_storeu_si512(
-                hi, _mm512_madd52hi_epu64(_mm512_loadu_si512(hi), x, k));
+            lo[c] = _mm512_loadu_si512(acc + 2 * c * n + t);
+            hi[c] = _mm512_loadu_si512(acc + 2 * c * n + n + t);
+        }
+        for (size_t r = 0; r < count; ++r) {
+            const __m512i x = _mm512_loadu_si512(rows + r * n + t);
+            const uint64_t* const* key = keys + r * stride;
+            for (size_t c = 0; c < Sums; ++c) {
+                const __m512i k = _mm512_loadu_si512(key[c] + t);
+                lo[c] = _mm512_madd52lo_epu64(lo[c], x, k);
+                hi[c] = _mm512_madd52hi_epu64(hi[c], x, k);
+            }
+        }
+        for (size_t c = 0; c < Sums; ++c) {
+            _mm512_storeu_si512(acc + 2 * c * n + t, lo[c]);
+            _mm512_storeu_si512(acc + 2 * c * n + n + t, hi[c]);
         }
     }
 }
+
+/**
+ * Reduces MAC lane pairs (lo, hi), value lo + hi * 2^52 < q * 2^64,
+ * to [0, q). Split as L + M * 2^52 + H * 2^104 (L, M < 2^52 and
+ * H < 2^12, since hi + lo / 2^52 < 2^64), the value is congruent to
+ * L * 1 + M * (2^52 mod q) + H * (2^104 mod q): three lazy 52-bit
+ * Shoup products, each < 2q, summed and normalized. Needs q <
+ * 2^kIfmaMaxModulusBits like the NTT bodies; the MAC's wider moduli
+ * reduce with the scalar Barrett (reduceLanes).
+ */
+class LaneReducer {
+  public:
+    explicit LaneReducer(const BarrettReducer& red)
+    {
+        const uint64_t q = red.modulus();
+        const uint64_t r52 = (uint64_t{1} << 52) % q;
+        const uint64_t r104 = red.mulMod(r52, r52);
+        q_ = splat(q);
+        negQ_ = negQ52(q);
+        twoQ_ = splat(2 * q);
+        one_ = splat(1);
+        one52_ = splat(shoupPrecompute52(1, q));
+        r52_ = splat(r52);
+        r52s_ = splat(shoupPrecompute52(r52, q));
+        r104_ = splat(r104);
+        r104s_ = splat(shoupPrecompute52(r104, q));
+    }
+
+    __m512i
+    reduce(__m512i lo, __m512i hi) const
+    {
+        const __m512i zero = _mm512_setzero_si512();
+        const __m512i mask52 = splat(kMask52);
+        const __m512i top = _mm512_add_epi64(hi, shiftHi52(lo));
+        __m512i s = _mm512_add_epi64(
+            shoupLazy52V(_mm512_and_si512(lo, mask52), one_, one52_, negQ_,
+                         zero, mask52),
+            shoupLazy52V(_mm512_and_si512(top, mask52), r52_, r52s_, negQ_,
+                         zero, mask52));
+        s = _mm512_add_epi64(condSubV(s, twoQ_),
+                             shoupLazy52V(shiftHi52(top), r104_, r104s_,
+                                          negQ_, zero, mask52));
+        return condSubV(condSubV(s, twoQ_), q_);
+    }
+
+  private:
+    __m512i q_, negQ_, twoQ_, one_, one52_, r52_, r52s_, r104_, r104s_;
+};
 
 /** The exact value of lane pair (lo, hi), below q * 2^64. */
 inline uint64_t
@@ -137,6 +240,35 @@ reduceLanes(uint64_t lo, uint64_t hi, const BarrettReducer& red)
                       + (static_cast<uint128>(hi) << 52));
 }
 
+/**
+ * dst[c][t] = lane pair (lo, hi) of sum c at t, mod q; dst[c] may be
+ * the sum's own lo lane (the in-place fold of macLazy).
+ */
+void
+reduceSums(uint64_t* const* dst, const uint64_t* acc, size_t sums,
+           size_t n, const BarrettReducer& red)
+{
+    if ((red.modulus() >> kIfmaMaxModulusBits) != 0) {
+        for (size_t c = 0; c < sums; ++c) {
+            const uint64_t* lo = acc + 2 * c * n;
+            for (size_t t = 0; t < n; ++t) {
+                dst[c][t] = reduceLanes(lo[t], lo[n + t], red);
+            }
+        }
+        return;
+    }
+    const LaneReducer lanes(red);
+    for (size_t c = 0; c < sums; ++c) {
+        const uint64_t* lo = acc + 2 * c * n;
+        for (size_t t = 0; t < n; t += 8) {
+            _mm512_storeu_si512(
+                dst[c] + t,
+                lanes.reduce(_mm512_loadu_si512(lo + t),
+                             _mm512_loadu_si512(lo + n + t)));
+        }
+    }
+}
+
 /** Whether the lanes are exact for q and whole vectors cover n. */
 inline bool
 fitsIfmaMac(uint64_t q, size_t n)
@@ -144,44 +276,79 @@ fitsIfmaMac(uint64_t q, size_t n)
     return (q >> kIfmaMacModulusBits) == 0 && n % 8 == 0;
 }
 
+/**
+ * Transposes the 8 x 8 matrix of 64-bit words r[row] lane [col] in
+ * place: three rounds of two-source shuffles (pairs of words, of
+ * 128-bit halves, of 256-bit halves), 24 shuffles in all.
+ */
+inline void
+transpose8x8(__m512i r[8])
+{
+    __m512i s[8];
+    for (size_t k = 0; k < 8; k += 2) {
+        s[k] = _mm512_maskz_unpacklo_epi64(kAllLanes, r[k], r[k + 1]);
+        s[k + 1] = _mm512_maskz_unpackhi_epi64(kAllLanes, r[k], r[k + 1]);
+    }
+    // s[k] for k = 0, 1 (mod 4) meets s[k + 2]: columns 0|4 and 2|6
+    // (k even) or 1|5 and 3|7 (k odd) of four rows.
+    const __m512i even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    const __m512i odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    __m512i v[8];
+    for (const size_t k : {0, 1, 4, 5}) {
+        v[k] = _mm512_permutex2var_epi64(s[k], even, s[k + 2]);
+        v[k + 2] = _mm512_permutex2var_epi64(s[k], odd, s[k + 2]);
+    }
+    for (size_t k = 0; k < 4; ++k) {
+        r[k] = _mm512_maskz_shuffle_i64x2(kAllLanes, v[k], v[k + 4],
+                                          0x44);
+        r[k + 4] = _mm512_maskz_shuffle_i64x2(kAllLanes, v[k],
+                                              v[k + 4], 0xEE);
+    }
+}
+
 } // namespace
 
 namespace detail {
 
 void
-macLazyAvx512Ifma(uint64_t* acc, uint64_t& terms, const uint64_t* row,
-                  const uint64_t* const* keys, size_t sums, size_t n,
-                  const BarrettReducer& red)
+macLazyAvx512Ifma(uint64_t* acc, uint64_t& terms, const uint64_t* rows,
+                  const uint64_t* const* keys, size_t count, size_t sums,
+                  size_t n, const BarrettReducer& red)
 {
     if (!fitsIfmaMac(red.modulus(), n)) {
-        macLazyScalar(acc, terms, row, keys, sums, n, red);
+        macLazyScalar(acc, terms, rows, keys, count, sums, n, red);
         return;
     }
     if (terms == 0) {
         std::fill_n(acc, 2 * sums * n, uint64_t{0});
-    } else if (terms == kIfmaMacBudget) {
-        for (size_t c = 0; c < sums; ++c) {
-            uint64_t* lo = acc + 2 * c * n;
-            uint64_t* hi = lo + n;
-            for (size_t t = 0; t < n; ++t) {
-                lo[t] = reduceLanes(lo[t], hi[t], red);
-                hi[t] = 0;
+    }
+    while (count != 0) {
+        if (terms == kIfmaMacBudget) {
+            // Fold each sum into its lo lane, a reduced seed.
+            for (size_t c = 0; c < sums; ++c) {
+                uint64_t* lo = acc + 2 * c * n;
+                reduceSums(&lo, lo, 1, n, red);
+                std::fill_n(lo + n, n, uint64_t{0});
+            }
+            terms = 0;
+        }
+        const size_t m = std::min<size_t>(count, kIfmaMacBudget - terms);
+        switch (sums) {
+        case 2:
+            macRowsIfma<2>(acc, rows, keys, sums, m, n);
+            break;
+        case 4:
+            macRowsIfma<4>(acc, rows, keys, sums, m, n);
+            break;
+        default:
+            for (size_t c = 0; c < sums; ++c) {
+                macRowsIfma<1>(acc + 2 * c * n, rows, keys + c, sums, m, n);
             }
         }
-        terms = 0;
-    }
-    ++terms;
-    switch (sums) {
-    case 2:
-        macRowsIfma<2>(acc, row, keys, n);
-        break;
-    case 4:
-        macRowsIfma<4>(acc, row, keys, n);
-        break;
-    default:
-        for (size_t c = 0; c < sums; ++c) {
-            macRowsIfma<1>(acc + 2 * c * n, row, keys + c, n);
-        }
+        terms += m;
+        count -= m;
+        rows += m * n;
+        keys += m * sums;
     }
 }
 
@@ -193,11 +360,83 @@ macReduceAvx512Ifma(uint64_t* const* dst, const uint64_t* acc,
         macReduceScalar(dst, acc, sums, n, red);
         return;
     }
-    for (size_t c = 0; c < sums; ++c) {
-        const uint64_t* lo = acc + 2 * c * n;
-        const uint64_t* hi = lo + n;
-        for (size_t t = 0; t < n; ++t) {
-            dst[c][t] = reduceLanes(lo[t], hi[t], red);
+    reduceSums(dst, acc, sums, n, red);
+}
+
+void
+liftNttRowsAvx512Ifma(uint64_t* rows, const int64_t* digits,
+                      size_t count, const NttTablesView& t)
+{
+    const size_t n = t.n;
+    const uint64_t q = t.q;
+    const __m512i qv = splat(q);
+    const __m512i negQv = negQ52(q);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i mask52 = splat(kMask52);
+    // lane[i] holds coefficient i of the group's rows, row k in lane k.
+    __m512i lane[kIfmaRowLanesMaxN];
+    for (size_t g = 0; g < count; g += 8) {
+        const size_t m = std::min<size_t>(8, count - g);
+        const int64_t* src = digits + g * n;
+        uint64_t* dst = rows + g * n;
+        // Transpose in, lift to [0, q) and twist (lazily, < 2q). A
+        // short group repeats its last row in the spare lanes.
+        for (size_t i = 0; i < n; i += 8) {
+            __m512i r[8];
+            for (size_t k = 0; k < 8; ++k) {
+                r[k] = _mm512_loadu_si512(src + std::min(k, m - 1) * n + i);
+            }
+            transpose8x8(r);
+            for (size_t k = 0; k < 8; ++k) {
+                const __mmask8 neg = _mm512_cmplt_epi64_mask(r[k], zero);
+                const __m512i v = _mm512_mask_add_epi64(r[k], neg, r[k], qv);
+                lane[i + k] = shoupLazy52V(v, splat(t.psi[i + k]),
+                                           splat(t.psi52[i + k]), negQv,
+                                           zero, mask52);
+            }
+        }
+        // DIF stages as vertical butterflies: one broadcast twiddle
+        // serves every butterfly of its column, 8 rows each. Stage
+        // inputs are < bound * q. The sum u + v is reduced (by
+        // bound * q) only when leaving it would let the next stage's
+        // u - v + 2 * bound * q reach 2^52, the multiplier width; for
+        // small q no stage reduces it. The product half is < 2q.
+        uint64_t bound = 2;
+        for (size_t len = n / 2; len >= 1; len >>= 1) {
+            const __m512i boundQ = splat(bound * q);
+            const bool reduceSum = (4 * bound * q) >> 52 != 0;
+            for (size_t j = 0; j < len; ++j) {
+                const __m512i w = splat(t.tw[len + j]);
+                const __m512i w52 = splat(t.tw52[len + j]);
+                for (size_t x = j; x < n; x += 2 * len) {
+                    const __m512i u = lane[x];
+                    const __m512i v = lane[x + len];
+                    const __m512i sum = _mm512_add_epi64(u, v);
+                    lane[x] = reduceSum ? condSubV(sum, boundQ) : sum;
+                    lane[x + len] = shoupLazy52V(
+                        _mm512_add_epi64(_mm512_sub_epi64(u, v), boundQ),
+                        w, w52, negQv, zero, mask52);
+                }
+            }
+            bound = reduceSum ? bound : 2 * bound;
+        }
+        // Normalize to [0, q) (a Shoup product by 1 first when the
+        // sums grew past 2q) and transpose back into the rows.
+        const __m512i one52 = splat(shoupPrecompute52(1, q));
+        const __m512i one = splat(1);
+        for (size_t i = 0; i < n; i += 8) {
+            __m512i r[8];
+            for (size_t k = 0; k < 8; ++k) {
+                const __m512i v =
+                    bound > 2 ? shoupLazy52V(lane[i + k], one, one52, negQv,
+                                             zero, mask52)
+                              : lane[i + k];
+                r[k] = condSubV(v, qv);
+            }
+            transpose8x8(r);
+            for (size_t k = 0; k < m; ++k) {
+                _mm512_storeu_si512(dst + k * n + i, r[k]);
+            }
         }
     }
 }
@@ -213,6 +452,7 @@ nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t)
     const uint64_t q = t.q;
     const uint64_t twoQ = 2 * q;
     const __m512i qv = _mm512_set1_epi64(static_cast<int64_t>(q));
+    const __m512i negQv = negQ52(q);
     const __m512i twoQv =
         _mm512_set1_epi64(static_cast<int64_t>(twoQ));
     const __m512i zero = _mm512_setzero_si512();
@@ -225,7 +465,7 @@ nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t)
         const __m512i w = _mm512_loadu_si512(t.psi + i);
         const __m512i w52 = _mm512_loadu_si512(t.psi52 + i);
         _mm512_storeu_si512(
-            a + i, shoupLazy52V(x, w, w52, qv, zero, mask52));
+            a + i, shoupLazy52V(x, w, w52, negQv, zero, mask52));
     }
     // Vector DIF stages (len >= 8); inputs < 2q, diff < 4q < 2^52.
     for (size_t len = n / 2; len >= 8; len >>= 1) {
@@ -246,7 +486,7 @@ nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t)
                 _mm512_storeu_si512(x + j, sum);
                 _mm512_storeu_si512(
                     y + j,
-                    shoupLazy52V(diff, w, w52, qv, zero, mask52));
+                    shoupLazy52V(diff, w, w52, negQv, zero, mask52));
             }
         }
     }
@@ -260,12 +500,12 @@ nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t)
     const __m512i uIdx1 = _mm512_setr_epi64(0, 0, 2, 2, 4, 4, 6, 6);
     const __m512i vIdx1 = _mm512_setr_epi64(1, 1, 3, 3, 5, 5, 7, 7);
     const __m512i w4 =
-        _mm512_permutexvar_epi64(dup4, _mm512_loadu_si512(t.tw + 4));
-    const __m512i w4x = _mm512_permutexvar_epi64(
+        permute(dup4, _mm512_loadu_si512(t.tw + 4));
+    const __m512i w4x = permute(
         dup4, _mm512_loadu_si512(t.tw52 + 4));
     const __m512i w2 =
-        _mm512_permutexvar_epi64(dup2, _mm512_loadu_si512(t.tw + 2));
-    const __m512i w2x = _mm512_permutexvar_epi64(
+        permute(dup2, _mm512_loadu_si512(t.tw + 2));
+    const __m512i w2x = permute(
         dup2, _mm512_loadu_si512(t.tw52 + 2));
     const __m512i w1 =
         _mm512_set1_epi64(static_cast<int64_t>(t.tw[1]));
@@ -273,11 +513,11 @@ nttForwardAvx512Ifma(uint64_t* a, const NttTablesView& t)
         _mm512_set1_epi64(static_cast<int64_t>(t.tw52[1]));
     for (size_t i = 0; i < n; i += 8) {
         __m512i z = _mm512_loadu_si512(a + i);
-        z = fwdStageSmallV(z, dup4, vIdx4, 0xF0, w4, w4x, qv, twoQv,
+        z = fwdStageSmallV(z, dup4, vIdx4, 0xF0, w4, w4x, negQv, twoQv,
                            zero, mask52);
-        z = fwdStageSmallV(z, uIdx2, vIdx2, 0xCC, w2, w2x, qv, twoQv,
+        z = fwdStageSmallV(z, uIdx2, vIdx2, 0xCC, w2, w2x, negQv, twoQv,
                            zero, mask52);
-        z = fwdStageSmallV(z, uIdx1, vIdx1, 0xAA, w1, w1x, qv, twoQv,
+        z = fwdStageSmallV(z, uIdx1, vIdx1, 0xAA, w1, w1x, negQv, twoQv,
                            zero, mask52);
         _mm512_storeu_si512(a + i, condSubV(z, qv));
     }
@@ -294,6 +534,7 @@ nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t)
     const uint64_t q = t.q;
     const uint64_t twoQ = 2 * q;
     const __m512i qv = _mm512_set1_epi64(static_cast<int64_t>(q));
+    const __m512i negQv = negQ52(q);
     const __m512i twoQv =
         _mm512_set1_epi64(static_cast<int64_t>(twoQ));
     const __m512i zero = _mm512_setzero_si512();
@@ -309,12 +550,12 @@ nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t)
     const __m512i uIdx1 = _mm512_setr_epi64(0, 0, 2, 2, 4, 4, 6, 6);
     const __m512i vIdx1 = _mm512_setr_epi64(1, 1, 3, 3, 5, 5, 7, 7);
     const __m512i w4 =
-        _mm512_permutexvar_epi64(dup4, _mm512_loadu_si512(t.itw + 4));
-    const __m512i w4x = _mm512_permutexvar_epi64(
+        permute(dup4, _mm512_loadu_si512(t.itw + 4));
+    const __m512i w4x = permute(
         dup4, _mm512_loadu_si512(t.itw52 + 4));
     const __m512i w2 =
-        _mm512_permutexvar_epi64(dup2, _mm512_loadu_si512(t.itw + 2));
-    const __m512i w2x = _mm512_permutexvar_epi64(
+        permute(dup2, _mm512_loadu_si512(t.itw + 2));
+    const __m512i w2x = permute(
         dup2, _mm512_loadu_si512(t.itw52 + 2));
     const __m512i w1 =
         _mm512_set1_epi64(static_cast<int64_t>(t.itw[1]));
@@ -322,11 +563,11 @@ nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t)
         _mm512_set1_epi64(static_cast<int64_t>(t.itw52[1]));
     for (size_t i = 0; i < n; i += 8) {
         __m512i z = _mm512_loadu_si512(a + i);
-        z = invStageSmallV(z, uIdx1, vIdx1, 0xAA, w1, w1x, qv, twoQv,
+        z = invStageSmallV(z, uIdx1, vIdx1, 0xAA, w1, w1x, negQv, twoQv,
                            zero, mask52);
-        z = invStageSmallV(z, uIdx2, vIdx2, 0xCC, w2, w2x, qv, twoQv,
+        z = invStageSmallV(z, uIdx2, vIdx2, 0xCC, w2, w2x, negQv, twoQv,
                            zero, mask52);
-        z = invStageSmallV(z, dup4, vIdx4, 0xF0, w4, w4x, qv, twoQv,
+        z = invStageSmallV(z, dup4, vIdx4, 0xF0, w4, w4x, negQv, twoQv,
                            zero, mask52);
         _mm512_storeu_si512(a + i, z);
     }
@@ -344,7 +585,7 @@ nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t)
                 const __m512i w52 = _mm512_loadu_si512(tw52 + j);
                 const __m512i v =
                     shoupLazy52V(_mm512_loadu_si512(y + j), w, w52,
-                                 qv, zero, mask52);
+                                 negQv, zero, mask52);
                 _mm512_storeu_si512(x + j, _mm512_add_epi64(u, v));
                 _mm512_storeu_si512(
                     y + j,
@@ -359,7 +600,7 @@ nttInverseAvx512Ifma(uint64_t* a, const NttTablesView& t)
         const __m512i w52 = _mm512_loadu_si512(t.ipsiScaled52 + i);
         _mm512_storeu_si512(
             a + i,
-            condSubV(shoupLazy52V(x, w, w52, qv, zero, mask52), qv));
+            condSubV(shoupLazy52V(x, w, w52, negQv, zero, mask52), qv));
     }
 }
 

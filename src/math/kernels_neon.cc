@@ -102,6 +102,9 @@ installNeonKernels(KernelOps& ops)
     ops.subMod = &subModNeon;
     ops.negMod = &negModNeon;
     ops.liftSigned = &liftSignedNeon;
+    ops.liftNttRows =
+        &detail::liftNttRowsPerRow<&liftSignedNeon,
+                                   &detail::nttForwardScalarLazy>;
     // NTT / Shoup / Barrett kernels stay scalar: no 64-bit vector
     // multiply on NEON; scalar umulh already saturates the pipeline.
 }

@@ -63,7 +63,7 @@ class ScratchArena {
         size_t used = 0;
 
         explicit Chunk(size_t words)
-            : buf(words)
+            : buf(words, AlignedU64::Uninitialized{})
         {
         }
     };

@@ -1,5 +1,6 @@
 #include "rlwe/gadget.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <optional>
@@ -33,43 +34,63 @@ namespace {
 /**
  * The one digit routine: splits every active limb of x (Coeff domain)
  * into d base-B digits, digit (i, j) at out[(i*d + j) * n, +n).
- * Unsigned digits are the base-B words of the residue; balanced digits
- * in [-B/2, B/2] come from the centered representative by carry
- * propagation, the top digit absorbing the final remainder.
+ * Unsigned digits are the base-B words of the residue. Balanced digits
+ * in [-B/2, B/2] come from the centered representative v by carry
+ * propagation, without a divide: the digit is r = v mod B (the low
+ * bits) less B when r > B/2, or when r = B/2 and v < 0 (the tie rule of
+ * a truncating v % B), and the top digit absorbs the final quotient.
+ * Each pass runs across all n coefficients, the top row carrying v.
  */
+#if defined(HEAP_HAVE_AVX512) && defined(__x86_64__) \
+    && !defined(__SANITIZE_THREAD__)
+// The digit passes are plain loops over 64-bit lanes; the portable
+// baseline (SSE2) has no 64-bit compare or arithmetic shift, so an
+// AVX-512 clone, chosen at load time on CPUs that have it, is what
+// vectorizes them. Integer code: every clone gives the same digits.
+// Thread-sanitized builds keep the default body: the clone's ifunc
+// resolver runs before TSan's runtime is up and faults.
+[[gnu::target_clones("default", "avx512f")]]
+#endif
 void
 decomposeInto(const math::RnsPoly& x, const GadgetParams& params,
               std::span<int64_t> out)
 {
     const size_t n = x.n();
     const int d = params.digitsPerLimb;
-    const int64_t base = 1LL << params.baseBits;
-    const uint64_t mask = (1ULL << params.baseBits) - 1;
+    const int bits = params.baseBits;
+    const uint64_t mask = (1ULL << bits) - 1;
+    const uint64_t half = 1ULL << (bits - 1);
+    const int64_t base = 1LL << bits;
     for (size_t i = 0; i < x.limbCount(); ++i) {
         const uint64_t qi = x.basis().modulus(i);
-        const auto src = x.limb(i);
+        const uint64_t* src = x.limb(i).data();
         int64_t* dst = out.data() + i * static_cast<size_t>(d) * n;
-        for (size_t t = 0; t < n; ++t) {
-            if (!params.balanced) {
-                for (int j = 0; j < d; ++j) {
+        if (!params.balanced) {
+            for (int j = 0; j < d; ++j) {
+                for (size_t t = 0; t < n; ++t) {
                     dst[static_cast<size_t>(j) * n + t] =
-                        static_cast<int64_t>(
-                            (src[t] >> (j * params.baseBits)) & mask);
+                        static_cast<int64_t>((src[t] >> (j * bits)) & mask);
                 }
-                continue;
             }
-            int64_t v = math::toCentered(src[t], qi);
-            for (int j = 0; j + 1 < d; ++j) {
-                int64_t r = v % base;
-                if (r > base / 2) {
-                    r -= base;
-                } else if (r < -base / 2) {
-                    r += base;
-                }
-                dst[static_cast<size_t>(j) * n + t] = r;
-                v = (v - r) >> params.baseBits;
+            continue;
+        }
+        int64_t* top = dst + static_cast<size_t>(d - 1) * n;
+        const uint64_t upper = (qi + 1) / 2;
+        for (size_t t = 0; t < n; ++t) {
+            top[t] = static_cast<int64_t>(src[t])
+                     - (src[t] >= upper ? static_cast<int64_t>(qi) : 0);
+        }
+        for (int j = 0; j + 1 < d; ++j) {
+            int64_t* row = dst + static_cast<size_t>(j) * n;
+            for (size_t t = 0; t < n; ++t) {
+                const int64_t v = top[t];
+                const uint64_t r = static_cast<uint64_t>(v) & mask;
+                const bool up = r > half || (r == half && v < 0);
+                const int64_t digit =
+                    static_cast<int64_t>(r) - (up ? base : 0);
+                row[t] = digit;
+                top[t] = (v - digit) >> bits;
             }
-            dst[static_cast<size_t>(d - 1) * n + t] = v;
         }
     }
 }
@@ -83,20 +104,31 @@ struct DigitBlock {
 };
 
 /**
+ * Words of transformed digit rows one group holds: a group is lifted
+ * and NTT'd in one KernelOps::liftNttRows call, then multiplied into
+ * the sums row by row, so its rows must still be in L1 (32 KB: all 36
+ * rows of a blind-rotation pair at n = 64, 4 rows at n = 1024).
+ */
+constexpr size_t kRowGroupWords = 4096;
+/** Row cap of a group, so its key pointers fit on the stack. */
+constexpr size_t kMaxGroupRows = 64;
+
+/**
  * The one gadget product behind gadgetApply, externalProduct and
  * externalProductPair:
  *
  *     out[o] = sum_s sum_{i,j} Digit_{i,j}(x_s) (*) keys_s[o].row(i, j)
  *
  * Each block is decomposed once (a copy of an Eval input is converted
- * first). Per output limb, every digit is lifted and forward-NTT'd
- * once into `row`, then multiplied into all 2 * Outputs lazy sums by
- * the MAC kernel (KernelOps::macLazy), which reduces them in place
- * whenever its term budget runs out; sums mod q are exact, so
- * reducing once at the end (macReduce) gives the canonical values
- * that reducing after every product would, on every SIMD level.
- * Output limbs are independent and fan out like RnsPoly::toEval.
- * Outputs have x's limb count, Eval domain.
+ * first). Per output limb, the digit rows are lifted and forward-NTT'd
+ * in groups (KernelOps::liftNttRows), and each transformed row is
+ * multiplied into all 2 * Outputs lazy sums by the MAC kernel
+ * (KernelOps::macLazy), which reduces them in place whenever its term
+ * budget runs out; sums mod q are exact, so reducing once at the end
+ * (macReduce) gives the canonical values that reducing after every
+ * product would, on every SIMD level. Output limbs are independent
+ * and fan out like RnsPoly::toEval. Outputs have x's limb count, Eval
+ * domain.
  */
 template <size_t Blocks, size_t Outputs>
 std::array<Ciphertext, Outputs>
@@ -142,29 +174,37 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
 
     // Sum c = 2o is out[o].a, c = 2o + 1 is out[o].b.
     constexpr size_t kSums = 2 * Outputs;
+    const size_t group = std::clamp<size_t>(kRowGroupWords / n, 1,
+                                            std::min(rows, kMaxGroupRows));
     auto processLimb = [&](size_t k) {
-        const uint64_t qk = basis->modulus(k);
         const auto& red = basis->reducer(k);
+        const math::NttTablesView tables = basis->ntt(k).view();
         const math::KernelOps& ops = math::kernels();
         math::ScratchFrame inner;
-        auto row = inner.borrow(n);
+        uint64_t* lifted = inner.borrow(group * n).data();
         uint64_t* acc = inner.borrow(2 * kSums * n).data();
         uint64_t terms = 0;
-        const int64_t* dig = digits.data();
+        // The keys of the group's rows: row r's sum c at r * kSums + c.
+        const uint64_t* keys[kMaxGroupRows * kSums];
+        size_t r = 0; // digit row, in block order
         for (const DigitBlock<Outputs>& block : blocks) {
             const int d = block.keys[0]->params().digitsPerLimb;
             for (size_t i = 0; i < l; ++i) {
-                for (int j = 0; j < d; ++j, dig += n) {
-                    ops.liftSigned(row.data(), dig, n, qk);
-                    basis->ntt(k).forward(row);
-                    const uint64_t* key[kSums];
+                for (int j = 0; j < d; ++j) {
+                    const uint64_t** key = keys + (r % group) * kSums;
                     for (size_t o = 0; o < Outputs; ++o) {
                         const Ciphertext& kr = block.keys[o]->row(
                             i, static_cast<size_t>(j));
                         key[2 * o] = kr.a.limb(k).data();
                         key[2 * o + 1] = kr.b.limb(k).data();
                     }
-                    ops.macLazy(acc, terms, row.data(), key, kSums, n, red);
+                    if (++r % group == 0 || r == rows) {
+                        const size_t count = (r - 1) % group + 1;
+                        const int64_t* dig = digits.data() + (r - count) * n;
+                        ops.liftNttRows(lifted, dig, count, tables);
+                        ops.macLazy(acc, terms, lifted, keys, count, kSums,
+                                    n, red);
+                    }
                 }
             }
         }

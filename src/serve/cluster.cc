@@ -545,15 +545,27 @@ ServiceCluster::submitFlight(
     const int effPriority = opts.priority + spec.priority;
     if (cfg_.shedding.enabled) {
         // Outstanding items priced at each pod's measured rate; a
-        // pod that has not returned a batch yet prices work at 0.
+        // pod that has not returned a batch yet prices work at 0. The
+        // earliest completion counts only pods routing could place
+        // the request on: a crashed pod or an open breaker is routed
+        // around, so its (refunded, empty) load table must not let
+        // through a request every usable pod would miss. Crash state
+        // is read before the cluster lock, which never nests a pod's.
+        std::vector<char> crashed(podCount());
+        for (size_t i = 0; i < podCount(); ++i) {
+            crashed[i] = tables_[cls][i]->crashed();
+        }
         double minDoneMs = std::numeric_limits<double>::infinity();
         double totalLoadMs = 0;
         {
             std::lock_guard<std::mutex> lock(m_);
             for (size_t i = 0; i < podCount(); ++i) {
                 const double l = podLoadMsLocked(i);
-                minDoneMs = std::min(minDoneMs, l + requestMs(cls, i));
                 totalLoadMs += l;
+                if (!crashed[i]
+                    && breakers_[i].state() != BreakerState::Open) {
+                    minDoneMs = std::min(minDoneMs, l + requestMs(cls, i));
+                }
             }
         }
         // Sheds run BEFORE tryAdmit: a shed request was never
@@ -574,7 +586,9 @@ ServiceCluster::submitFlight(
                        << cfg_.shedding.brownoutMinPriority
                        << ": request shed");
         }
-        if (opts.deadlineMs) {
+        // With no usable pod, routing rejects the request as
+        // unhealthy; the deadline shed has nothing to price.
+        if (opts.deadlineMs && std::isfinite(minDoneMs)) {
             const double doneMs = cfg_.shedding.slackFactor * minDoneMs;
             if (*opts.deadlineMs < doneMs) {
                 {

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "math/modarith.h"
+#include "math/kernels.h"
 
 namespace heap::tfhe {
 
@@ -11,38 +11,31 @@ namespace {
 
 /**
  * Fused CMux update: acc += ep * (X^k - 1), negacyclically, without
- * materializing the rotated or differenced temporaries. Exact modular
- * adds/subs, so the result is byte-identical to the unfused
- * monomialMul + subInPlace + addInPlace sequence.
+ * materializing the rotated or differenced temporaries. X^k moves
+ * ep[0, N - s) to [s, N) and wraps ep[N - s, N) to [0, s) negated,
+ * with s = k mod N, and X^k = -X^s when k >= N flips both signs: each
+ * limb is three contiguous kernel calls. Exact modular adds/subs, so
+ * the result is byte-identical to the unfused monomialMul +
+ * subInPlace + addInPlace sequence.
  */
 void
 accumulateRotatedDiffPoly(math::RnsPoly& acc, const math::RnsPoly& ep,
                           uint64_t k)
 {
     const size_t n = acc.n();
-    const uint64_t twoN = 2 * n;
-    k %= twoN;
+    k %= 2 * n;
+    const bool flip = k >= n;
+    const size_t s = flip ? k - n : k;
+    const math::KernelOps& ops = math::kernels();
+    const auto shifted = flip ? ops.subMod : ops.addMod;
+    const auto wrapped = flip ? ops.addMod : ops.subMod;
     for (size_t l = 0; l < acc.limbCount(); ++l) {
         const uint64_t q = acc.basis().modulus(l);
-        auto out = acc.limb(l);
-        const auto src = ep.limb(l);
-        // acc -= ep ...
-        for (size_t i = 0; i < n; ++i) {
-            out[i] = math::subMod(out[i], src[i], q);
-        }
-        // ... then acc += ep * X^k (sign flips past X^N = -1).
-        for (size_t i = 0; i < n; ++i) {
-            // i + k < 3N, so one subtract wraps it mod 2N.
-            size_t dst = i + k;
-            if (dst >= twoN) {
-                dst -= twoN;
-            }
-            if (dst < n) {
-                out[dst] = math::addMod(out[dst], src[i], q);
-            } else {
-                out[dst - n] = math::subMod(out[dst - n], src[i], q);
-            }
-        }
+        uint64_t* out = acc.limb(l).data();
+        const uint64_t* src = ep.limb(l).data();
+        ops.subMod(out, out, src, n, q);
+        shifted(out + s, out + s, src, n - s, q);
+        wrapped(out, out, src + n - s, s, q);
     }
 }
 

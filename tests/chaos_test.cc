@@ -666,6 +666,60 @@ TEST(ClusterChaos, DeadlineShedRejectsNegativeSlack)
     EXPECT_EQ(ts.inFlight, 0u);
 }
 
+TEST(ClusterChaos, DeadlineShedIgnoresCrashedPods)
+{
+    auto pods = makePods(7, 2, 1);
+    TenantRegistry reg;
+    reg.registerTenant({.id = 1, .name = "t1"});
+    ClusterConfig cfg;
+    cfg.shedding.enabled = true;
+    cfg.shedding.slackFactor = 1.0;
+    ServiceCluster cluster(distPtrs(pods), reg, cfg);
+    warmPods(cluster, pods);
+    const size_t down = cluster.preferredPod(1);
+    const size_t up = 1 - down;
+    const auto requestMs = [&](size_t pod) {
+        return static_cast<double>(cluster.itemsPerRequest())
+               * cluster.pod(pod).msPerItem();
+    };
+
+    // The tenant's preferred pod is down with an empty load table;
+    // the only usable pod is held with four requests outstanding.
+    cluster.pod(down).crash();
+    cluster.pod(up).pause();
+    SubmitOptions loose;
+    loose.deadlineMs = 60000.0;
+    std::vector<std::shared_ptr<BootstrapTicket>> held;
+    for (uint64_t s = 0; s < 4; ++s) {
+        held.push_back(
+            cluster.submit(1, makeInput(*pods.ctx, *pods.ev, s), loose));
+    }
+    ASSERT_EQ(cluster.metrics().podOutstandingItems[up],
+              4 * cluster.itemsPerRequest());
+
+    // The crashed pod would finish this deadline in time, the usable
+    // one, five requests deep, would not: it is shed.
+    SubmitOptions tight;
+    tight.deadlineMs = 1.1 * requestMs(down);
+    ASSERT_LT(*tight.deadlineMs, 5 * requestMs(up));
+    EXPECT_THROW(
+        cluster.submit(1, makeInput(*pods.ctx, *pods.ev, 9), tight),
+        UserError);
+    cluster.pod(up).resume();
+    for (const auto& t : held) {
+        EXPECT_NO_THROW(t->wait());
+    }
+    cluster.drain();
+
+    const ClusterMetrics m = cluster.metrics();
+    EXPECT_EQ(m.rejectedShedDeadline, 1u);
+    EXPECT_EQ(m.requestsCompleted, 4u);
+    const TenantStats ts = reg.stats(1);
+    EXPECT_EQ(ts.rejectedShed, 1u);
+    EXPECT_EQ(ts.submitted, 4u);
+    EXPECT_EQ(ts.inFlight, 0u);
+}
+
 TEST(ClusterChaos, BrownoutShedsLowPriorityUnderOverload)
 {
     auto pods = makePods(7, 2, 1);

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/aligned.h"
@@ -159,23 +161,30 @@ TEST(SimdEquivalence, PointwiseKernelsMatchScalar)
 /**
  * Runs `terms` rows through one level's gadget MAC (macLazy, then
  * macReduce): row i is rows[i % R] against keys[(i % R) * sums + c]
- * for R = rows.size(). Returns the reduced sums back to back.
+ * for R = rows.size(), handed to macLazy `chunk` rows per call (the
+ * gadget product passes a whole row group). Returns the reduced sums
+ * back to back.
  */
 std::vector<uint64_t>
 runMac(const KernelOps& ops, const std::vector<std::vector<uint64_t>>& rows,
        const std::vector<std::vector<uint64_t>>& keys, size_t sums,
-       size_t terms, const BarrettReducer& red)
+       size_t terms, const BarrettReducer& red, size_t chunk = 1)
 {
     const size_t n = rows[0].size();
     AlignedU64 acc(2 * sums * n);
     uint64_t count = 0;
-    std::vector<const uint64_t*> k(sums);
-    for (size_t i = 0; i < terms; ++i) {
-        const size_t r = i % rows.size();
-        for (size_t c = 0; c < sums; ++c) {
-            k[c] = keys[r * sums + c].data();
+    std::vector<uint64_t> block(chunk * n);
+    std::vector<const uint64_t*> k(chunk * sums);
+    for (size_t i = 0; i < terms; i += chunk) {
+        const size_t m = std::min(chunk, terms - i);
+        for (size_t j = 0; j < m; ++j) {
+            const size_t r = (i + j) % rows.size();
+            std::copy(rows[r].begin(), rows[r].end(), block.data() + j * n);
+            for (size_t c = 0; c < sums; ++c) {
+                k[j * sums + c] = keys[r * sums + c].data();
+            }
         }
-        ops.macLazy(acc.data(), count, rows[r].data(), k.data(), sums, n,
+        ops.macLazy(acc.data(), count, block.data(), k.data(), m, sums, n,
                     red);
     }
     std::vector<uint64_t> out(sums * n);
@@ -193,13 +202,17 @@ runMac(const KernelOps& ops, const std::vector<std::vector<uint64_t>>& rows,
 // low half, which fills the IFMA lo lane fastest). The 52-bit q runs
 // exactly the IFMA budget, one term past it (the mid-loop fold must
 // fire) and two budgets of the scalar rule floor((2^64 - 1) / q) =
-// 4096, which would wrap lo after its first fold. The 62-bit q is past
-// the IFMA bound, so that level must take the scalar fallback.
+// 4096, which would wrap lo after its first fold. The 49-bit q takes
+// the IFMA MAC's vector reduction (q < 2^kIfmaMaxModulusBits) at the
+// fullest lanes the budget allows; the 52-bit q reduces them with the
+// scalar Barrett. The 62-bit q is past the IFMA bound, so that level
+// must take the scalar fallback. Rows go in one per call and in
+// groups of 36, so a budget fold also lands inside one call.
 TEST(SimdEquivalence, GadgetMacMatchesScalarAtItsBudget)
 {
     const KernelOps& ref = scalarKernels();
     for (const size_t n : {size_t{8}, size_t{64}, size_t{1024}}) {
-        for (const int bits : {52, 62}) {
+        for (const int bits : {49, 52, 62}) {
             const uint64_t q = generateNttPrimes(bits, n, 1)[0];
             const BarrettReducer red(q);
             // The odd x < q whose k = -x^-1 mod 2^52 is below q too.
@@ -248,19 +261,22 @@ TEST(SimdEquivalence, GadgetMacMatchesScalarAtItsBudget)
 
                     for (const SimdLevel lvl : kAllLevels) {
                         const KernelOps& ops = kernelsForLevel(lvl);
-                        const auto got =
-                            runMac(ops, maxRows, maxKeys, sums, terms, red);
-                        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                                                 want.size() * 8))
-                            << "q - 1 operands, level "
-                            << simdLevelName(lvl);
-                        const auto gotLo =
-                            runMac(ops, loRows, loKeys, sums, terms, red);
-                        ASSERT_EQ(0,
-                                  std::memcmp(gotLo.data(), wantLo.data(),
-                                              wantLo.size() * 8))
-                            << "low-half operands, level "
-                            << simdLevelName(lvl);
+                        for (const size_t chunk : {size_t{1}, size_t{36}}) {
+                            const auto got = runMac(ops, maxRows, maxKeys,
+                                                    sums, terms, red, chunk);
+                            ASSERT_EQ(0,
+                                      std::memcmp(got.data(), want.data(),
+                                                  want.size() * 8))
+                                << "q - 1 operands, level "
+                                << simdLevelName(lvl) << " chunk " << chunk;
+                            const auto gotLo = runMac(ops, loRows, loKeys,
+                                                      sums, terms, red, chunk);
+                            ASSERT_EQ(0, std::memcmp(gotLo.data(),
+                                                     wantLo.data(),
+                                                     wantLo.size() * 8))
+                                << "low-half operands, level "
+                                << simdLevelName(lvl) << " chunk " << chunk;
+                        }
                     }
                 }
             }
@@ -308,8 +324,75 @@ TEST(SimdEquivalence, GadgetMacMatchesScalarOnRandomRows)
                 }
                 ASSERT_EQ(runMac(ref, rows, keys, sums, terms, red), oracle);
                 for (const SimdLevel lvl : kAllLevels) {
-                    const auto got = runMac(kernelsForLevel(lvl), rows, keys,
-                                            sums, terms, red);
+                    for (const size_t chunk : {size_t{1}, size_t{8}, terms}) {
+                        const auto got = runMac(kernelsForLevel(lvl), rows,
+                                                keys, sums, terms, red, chunk);
+                        ASSERT_EQ(0, std::memcmp(got.data(), oracle.data(),
+                                                 oracle.size() * 8))
+                            << "level " << simdLevelName(lvl) << " chunk "
+                            << chunk;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// The gadget product's digit transform: every level's liftNttRows
+// against the scalar body and against liftSigned + forwardScalar row
+// by row. Ring sizes straddle the row-lane bound (kIfmaRowLanesMaxN);
+// counts leave short groups of 8 and run several groups; the 30-bit
+// and 49-bit moduli take the IFMA row lanes (at 49 bits their
+// butterflies must reduce the sums), the 52-bit one the per-row
+// fallback. Digits sit at the balanced ties +-B/2 for B = 2^6, at the
+// extremes +-(q - 1), and anywhere in between.
+TEST(SimdEquivalence, LiftNttRowsMatchesScalar)
+{
+    const KernelOps& ref = scalarKernels();
+    for (const size_t n : {8, 16, 32, 64, 128, 256, 512, 1024}) {
+        for (const int bits : {30, 49, 52}) {
+            const uint64_t q = generateNttPrimes(bits, n, 1)[0];
+            const NttTables tab(n, q);
+            const int64_t top = static_cast<int64_t>(q - 1);
+            const int64_t pinned[] = {0, 32, -32, 31, -31, top, -top, 1, -1};
+            for (const size_t count :
+                 {1, 2, 3, 4, 5, 6, 7, 8, 12, 18, 36}) {
+                SCOPED_TRACE(::testing::Message() << "n=" << n << " bits="
+                                                  << bits << " count="
+                                                  << count);
+                Rng rng(n * 1000 + bits * 100 + count);
+                std::vector<int64_t> digits(count * n);
+                for (auto& d : digits) {
+                    switch (rng.uniform(3)) {
+                    case 0:
+                        d = pinned[rng.uniform(std::size(pinned))];
+                        break;
+                    case 1:
+                        d = static_cast<int64_t>(rng.uniform(65)) - 32;
+                        break;
+                    default:
+                        d = static_cast<int64_t>(rng.uniform(2 * q - 1))
+                            - top;
+                    }
+                }
+                std::vector<uint64_t> oracle(count * n);
+                for (size_t r = 0; r < count; ++r) {
+                    std::vector<uint64_t> row(n);
+                    ref.liftSigned(row.data(), digits.data() + r * n, n, q);
+                    tab.forwardScalar(row);
+                    std::copy(row.begin(), row.end(),
+                              oracle.begin() + r * n);
+                }
+                std::vector<uint64_t> got(count * n);
+                ref.liftNttRows(got.data(), digits.data(), count,
+                                tab.view());
+                ASSERT_EQ(0, std::memcmp(got.data(), oracle.data(),
+                                         oracle.size() * 8))
+                    << "scalar body";
+                for (const SimdLevel lvl : kAllLevels) {
+                    std::fill(got.begin(), got.end(), ~uint64_t{0});
+                    kernelsForLevel(lvl).liftNttRows(
+                        got.data(), digits.data(), count, tab.view());
                     ASSERT_EQ(0, std::memcmp(got.data(), oracle.data(),
                                              oracle.size() * 8))
                         << "level " << simdLevelName(lvl);

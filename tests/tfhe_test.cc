@@ -340,12 +340,18 @@ oracleBlindRotate(const lwe::LweCiphertext& lwe, const math::RnsPoly& f,
  *  products in every 128-bit sum than fit below q * 2^64, so the
  *  mid-loop reduction must fire (and the IFMA MAC hands it to the
  *  scalar body); the 51-bit one runs the IFMA MAC at its widest
- *  moduli, where each 52-bit product half is largest. */
+ *  moduli, where each 52-bit product half is largest. On IFMA
+ *  hardware the digit rows of the N=64 30-bit and N=512 49-bit shapes
+ *  take the row-lane transform (the latter at its largest n, widest
+ *  q, and 28 rows in groups of 8, so its last group is short); the
+ *  N=1024 shape is past the row-lane bound and runs one NTT per row. */
 const FusedShape kFusedShapes[] = {
     {"bootstrap N=64 4x30b 6x6", 64, 30, 4,
      {.baseBits = 6, .digitsPerLimb = 6}},
     {"N=1024 2x30b 10x3", 1024, 30, 2,
      {.baseBits = 10, .digitsPerLimb = 3}},
+    {"N=512 2x49b 7x7", 512, 49, 2,
+     {.baseBits = 7, .digitsPerLimb = 7}},
     {"N=64 3x62b 4x16", 64, 62, 3,
      {.baseBits = 4, .digitsPerLimb = 16}},
     {"N=64 3x51b 6x9", 64, 51, 3,

@@ -203,6 +203,39 @@ BM_ExternalProductPair(benchmark::State& state)
 }
 BENCHMARK(BM_ExternalProductPair);
 
+// One PIR fold CMux at pir_lookup's shape: N = 1024, two 30-bit limbs,
+// a 5 x 6 gadget. Arg 0 selects between plaintext leaves (trivial
+// encryptions, a = 0: the first fold level, whose zero a-half the
+// gadget product skips) and arg 1 between two fresh ciphertexts (every
+// later level).
+void
+BM_Cmux(benchmark::State& state)
+{
+    const size_t n = 1024;
+    const auto basis = std::make_shared<math::RnsBasis>(
+        n, math::generateNttPrimes(30, n, 2));
+    Rng rng(9);
+    const auto sk = rlwe::SecretKey::sampleTernary(basis, rng);
+    const rlwe::GadgetParams gadget{.baseBits = 5, .digitsPerLimb = 6};
+    const auto C = rlwe::rgswEncryptConstant(sk, 1, gadget, rng);
+    std::vector<rlwe::Ciphertext> cts;
+    for (int64_t v : {3, -5}) {
+        std::vector<int64_t> m(n, 0);
+        m[0] = v << 35;
+        auto msg = math::rnsFromSigned(basis, 2, m);
+        cts.push_back(state.range(0) == 0
+                          ? rlwe::trivialEncrypt(std::move(msg))
+                          : rlwe::encrypt(sk, msg, rng));
+    }
+    for (auto _ : state) {
+        auto out = tfhe::cmux(C, cts[0], cts[1]);
+        benchmark::DoNotOptimize(out);
+    }
+    state.SetLabel(state.range(0) == 0 ? "plaintext leaves"
+                                       : "ciphertexts");
+}
+BENCHMARK(BM_Cmux)->Arg(0)->Arg(1);
+
 // The pair's kernels per SIMD level, pinned through kernelsForLevel
 // (a level the host lacks degrades; the label names the one that ran):
 // args are (level, n, rows). Items are digit rows, so items/s compares

@@ -393,7 +393,7 @@ RnsPoly
 rnsFromSigned(std::shared_ptr<const RnsBasis> basis, size_t limbs,
               std::span<const int64_t> coeffs)
 {
-    HEAP_CHECK(coeffs.size() == basis->n(), "coefficient count mismatch");
+    HEAP_CHECK(coeffs.size() <= basis->n(), "more coefficients than n");
     RnsPoly out(basis, limbs, Domain::Coeff);
     for (size_t i = 0; i < limbs; ++i) {
         const uint64_t q = basis->modulus(i);

@@ -213,7 +213,8 @@ class RnsPoly {
     Domain domain_ = Domain::Coeff;
 };
 
-/** Embeds small signed coefficients into all `limbs` limbs of a basis. */
+/** Embeds small signed coefficients into all `limbs` limbs of a basis,
+ *  Coeff domain. At most n coefficients; the missing high ones are 0. */
 RnsPoly rnsFromSigned(std::shared_ptr<const RnsBasis> basis, size_t limbs,
                       std::span<const int64_t> coeffs);
 

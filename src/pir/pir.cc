@@ -69,6 +69,17 @@ PirParams::firstDimGroups() const
     return totalCells() / dims.at(0);
 }
 
+size_t
+PirParams::queryBytes() const
+{
+    // Per bit: two gadget halves of (basis limbs x d) rows, each row
+    // two full-basis polynomials.
+    const size_t rows =
+        basis->size() * static_cast<size_t>(gadget.digitsPerLimb);
+    const size_t polyBytes = basis->size() * basis->n() * sizeof(uint64_t);
+    return queryBitCount() * 2 * rows * 2 * polyBytes;
+}
+
 double
 PirParams::foldSigma() const
 {
@@ -195,26 +206,24 @@ PirServer::PirServer(PirParams params,
                                    << params_.entries);
     const int64_t delta = int64_t{1} << params_.scaleBits;
     const int64_t bound = int64_t{1} << params_.payloadBits;
-    const size_t n = params_.basis->n();
-    cells_.reserve(params_.totalCells());
-    std::vector<int64_t> coeffs(n, 0);
-    for (size_t t = 0; t < params_.totalCells(); ++t) {
-        std::fill(coeffs.begin(), coeffs.end(), 0);
-        if (t < entries.size()) {
-            const auto& e = entries[t];
-            HEAP_CHECK(e.size() <= params_.payloadCoeffs,
-                       "PIR entry " << t << " has " << e.size()
-                                    << " values, payloadCoeffs is "
-                                    << params_.payloadCoeffs);
-            for (size_t i = 0; i < e.size(); ++i) {
-                HEAP_CHECK(e[i] > -bound && e[i] < bound,
-                           "PIR entry " << t << " value " << e[i]
-                                        << " exceeds payloadBits");
-                coeffs[i] = e[i] * delta;
-            }
+    cells_.resize(params_.totalCells());
+    for (size_t t = 0; t < entries.size(); ++t) {
+        const auto& e = entries[t];
+        HEAP_CHECK(e.size() <= params_.payloadCoeffs,
+                   "PIR entry " << t << " has " << e.size()
+                                << " values, payloadCoeffs is "
+                                << params_.payloadCoeffs);
+        std::vector<int64_t>& cell = cells_[t];
+        for (size_t i = 0; i < e.size(); ++i) {
+            HEAP_CHECK(e[i] > -bound && e[i] < bound,
+                       "PIR entry " << t << " value " << e[i]
+                                    << " exceeds payloadBits");
+            cell.push_back(e[i] * delta);
         }
-        cells_.push_back(
-            math::rnsFromSigned(params_.basis, params_.limbs, coeffs));
+        while (!cell.empty() && cell.back() == 0) {
+            cell.pop_back();
+        }
+        cell.shrink_to_fit();
     }
 }
 
@@ -268,7 +277,7 @@ PirServer::validateQuery(const PirQuery& query) const
 std::vector<rlwe::Ciphertext>
 PirServer::foldDimension(
     std::vector<rlwe::Ciphertext> table,
-    const std::vector<rlwe::RgswCiphertext>& bits) const
+    std::span<const rlwe::RgswCiphertext> bits) const
 {
     for (const rlwe::RgswCiphertext& bit : bits) {
         std::vector<rlwe::Ciphertext> next;
@@ -288,13 +297,20 @@ PirServer::foldFirstGroup(const PirQuery& query, size_t group) const
     HEAP_CHECK(group < params_.firstDimGroups(),
                "PIR group " << group << " out of range");
     const size_t d0 = params_.dims[0];
-    std::vector<rlwe::Ciphertext> leaves;
-    leaves.reserve(d0);
-    for (size_t j = 0; j < d0; ++j) {
-        leaves.push_back(rlwe::trivialEncrypt(cells_[group * d0 + j]));
+    const std::span<const rlwe::RgswCiphertext> bits = query.dimBits[0];
+    auto leaf = [&](size_t j) {
+        return rlwe::trivialEncrypt(math::rnsFromSigned(
+            params_.basis, params_.limbs, cells_[group * d0 + j]));
+    };
+    // The first bit takes the leaves a pair at a time as they are
+    // built, so a group never holds all d0 of them at once.
+    std::vector<rlwe::Ciphertext> table;
+    table.reserve(d0 / 2);
+    for (size_t j = 0; j < d0; j += 2) {
+        table.push_back(tfhe::cmux(bits[0], leaf(j), leaf(j + 1)));
     }
     std::vector<rlwe::Ciphertext> folded =
-        foldDimension(std::move(leaves), query.dimBits[0]);
+        foldDimension(std::move(table), bits.subspan(1));
     HEAP_ASSERT(folded.size() == 1, "dimension fold did not collapse");
     return std::move(folded[0]);
 }

@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rlwe/gadget.h"
@@ -86,6 +87,9 @@ struct PirParams {
     /** Dimension-0 groups = totalCells / dims[0]: the independent
      *  first-pass work items the serving layer schedules. */
     size_t firstDimGroups() const;
+    /** In-memory bytes of one query's RGSW bits (PirClient::makeQuery
+     *  output): the only keys a lookup reads. */
+    size_t queryBytes() const;
 
     /**
      * Analytic phase-noise stddev of a folded answer: one external
@@ -143,8 +147,12 @@ class PirClient {
 };
 
 /**
- * Server half: the plaintext database, encoded once at construction
- * (scaled RNS cells in Coeff domain), folded per query. Stateless
+ * Server half: the plaintext database, folded per query. Each cell is
+ * kept as its scaled signed coefficients, trailing zeros trimmed (a
+ * few words, not a limbs x N polynomial), and becomes a trivial RLWE
+ * leaf (a = 0, b = the cell in RNS) only when it is folded. The
+ * gadget product skips a zero input block, so each first-level CMux
+ * multiplies half the digit rows of a later one. Stateless
  * across queries and deterministic: answer() is const and safe to
  * call from many worker threads concurrently.
  */
@@ -193,10 +201,12 @@ class PirServer {
      *  collapses every D adjacent ciphertexts to the u-th. */
     std::vector<rlwe::Ciphertext>
     foldDimension(std::vector<rlwe::Ciphertext> table,
-                  const std::vector<rlwe::RgswCiphertext>& bits) const;
+                  std::span<const rlwe::RgswCiphertext> bits) const;
 
     PirParams params_;
-    std::vector<math::RnsPoly> cells_; ///< scaled, Coeff domain
+    /** Per cell: entry values times 2^scaleBits, trailing zeros
+     *  trimmed (a padding cell is empty). */
+    std::vector<std::vector<int64_t>> cells_;
 };
 
 /** Deterministic pseudo-random database for tests and benches:

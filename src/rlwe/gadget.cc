@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <optional>
+#include <span>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -129,6 +130,12 @@ constexpr size_t kMaxGroupRows = 64;
  * product would, on every SIMD level. Output limbs are independent
  * and fan out like RnsPoly::toEval. Outputs have x's limb count, Eval
  * domain.
+ *
+ * A block whose polynomial is zero (in either domain every word is 0)
+ * has only zero digits, whose terms add 0 to the exact sums, so it
+ * adds no rows at all: a trivially encrypted input (a = 0: PIR's
+ * plaintext leaves, a blind rotation's first step) costs half. With
+ * every block zero the outputs are the zero polynomials.
  */
 template <size_t Blocks, size_t Outputs>
 std::array<Ciphertext, Outputs>
@@ -137,6 +144,10 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
     const auto basis = blocks[0].x->basisPtr();
     const size_t n = basis->n();
     const size_t l = blocks[0].x->limbCount();
+    // The nonzero blocks, in block order; the scan stops at the first
+    // nonzero word, so a random polynomial costs one load.
+    std::array<const DigitBlock<Outputs>*, Blocks> live{};
+    size_t liveCount = 0;
     size_t rows = 0;
     for (const DigitBlock<Outputs>& block : blocks) {
         HEAP_ASSERT(block.x->limbCount() == l, "blocks differ in limbs");
@@ -146,30 +157,38 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
             HEAP_CHECK(K->rowCount() >= blockRows,
                        "gadget ciphertext has too few rows");
         }
-        rows += blockRows;
-    }
-
-    // The blocks' digit rows, back to back in block order.
-    math::ScratchFrame scratch;
-    auto digits = scratch.borrowSigned(rows * n);
-    std::optional<math::RnsPoly> converted;
-    size_t filled = 0;
-    for (const DigitBlock<Outputs>& block : blocks) {
-        const math::RnsPoly* x = block.x;
-        if (x->domain() != Domain::Coeff) {
-            converted.emplace(*x);
-            converted->toCoeff();
-            x = &*converted;
+        if (std::ranges::any_of(block.x->flat(),
+                                [](uint64_t w) { return w != 0; })) {
+            live[liveCount++] = &block;
+            rows += blockRows;
         }
-        const GadgetParams& gp = block.keys[0]->params();
-        decomposeInto(*x, gp, digits.subspan(filled));
-        filled += l * static_cast<size_t>(gp.digitsPerLimb) * n;
     }
+    const auto liveBlocks = std::span(live).first(liveCount);
 
     std::array<Ciphertext, Outputs> out;
     for (Ciphertext& c : out) {
         c.a = math::RnsPoly(basis, l, Domain::Eval);
         c.b = math::RnsPoly(basis, l, Domain::Eval);
+    }
+    if (rows == 0) {
+        return out;
+    }
+
+    // The live blocks' digit rows, back to back in block order.
+    math::ScratchFrame scratch;
+    auto digits = scratch.borrowSigned(rows * n);
+    std::optional<math::RnsPoly> converted;
+    size_t filled = 0;
+    for (const DigitBlock<Outputs>* block : liveBlocks) {
+        const math::RnsPoly* x = block->x;
+        if (x->domain() != Domain::Coeff) {
+            converted.emplace(*x);
+            converted->toCoeff();
+            x = &*converted;
+        }
+        const GadgetParams& gp = block->keys[0]->params();
+        decomposeInto(*x, gp, digits.subspan(filled));
+        filled += l * static_cast<size_t>(gp.digitsPerLimb) * n;
     }
 
     // Sum c = 2o is out[o].a, c = 2o + 1 is out[o].b.
@@ -187,13 +206,13 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
         // The keys of the group's rows: row r's sum c at r * kSums + c.
         const uint64_t* keys[kMaxGroupRows * kSums];
         size_t r = 0; // digit row, in block order
-        for (const DigitBlock<Outputs>& block : blocks) {
-            const int d = block.keys[0]->params().digitsPerLimb;
+        for (const DigitBlock<Outputs>* block : liveBlocks) {
+            const int d = block->keys[0]->params().digitsPerLimb;
             for (size_t i = 0; i < l; ++i) {
                 for (int j = 0; j < d; ++j) {
                     const uint64_t** key = keys + (r % group) * kSums;
                     for (size_t o = 0; o < Outputs; ++o) {
-                        const Ciphertext& kr = block.keys[o]->row(
+                        const Ciphertext& kr = block->keys[o]->row(
                             i, static_cast<size_t>(j));
                         key[2 * o] = kr.a.limb(k).data();
                         key[2 * o + 1] = kr.b.limb(k).data();

@@ -23,7 +23,9 @@
  * kernel too: each input is decomposed once, each digit lifted and
  * forward-NTT'd once per output limb, and each output coefficient
  * Barrett-reduced once from a 128-bit sum instead of after every
- * product. Sums mod q are exact, so outputs are canonical.
+ * product. Sums mod q are exact, so outputs are canonical. An input
+ * block that is the zero polynomial (the a-half of a trivial
+ * encryption) adds only zero terms, so it is skipped whole.
  */
 
 #ifndef HEAP_RLWE_GADGET_H

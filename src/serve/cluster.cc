@@ -42,12 +42,15 @@ ServiceCluster::ServiceCluster(
         HEAP_CHECK(p->context().basis()->n() == n,
                    "pods disagree on the ring dimension");
     }
-    // A tenant that declares no key footprint is charged the pods'
-    // real bootstrapping-key bytes (every pod holds the same set).
-    podKeyBytes_ = pods[0]->keys().bytes();
+    // A tenant that declares no key footprint is charged the keys its
+    // class reads: the pods' bootstrapping keys (every pod holds the
+    // same set), or a lookup's query, whose RGSW bits are its keys.
     classes_[kBootstrap].items = n;
+    classes_[kBootstrap].keyBytes = pods[0]->keys().bytes();
     if (cfg_.pirServer != nullptr) {
-        classes_[kLookup].items = cfg_.pirServer->params().firstDimGroups();
+        const pir::PirParams& pp = cfg_.pirServer->params();
+        classes_[kLookup].items = pp.firstDimGroups();
+        classes_[kLookup].keyBytes = pp.queryBytes();
     }
     for (auto* p : pods) {
         tables_[kBootstrap].push_back(
@@ -515,12 +518,12 @@ ServiceCluster::submitFlight(
     flight->cls = cls;
     flight->newRequest = std::move(newRequest);
     const TenantSpec& spec = registry_->spec(tenantId);
-    // Key-cache charge: the tenant's declared footprint, else the
-    // pods' real key bytes. Validated before admission so a
+    // Key-cache charge: the tenant's declared footprint, else its
+    // class's key bytes. Validated before admission so a
     // misconfigured tenant cannot leak an in-flight slot or poison
     // the candidate loop.
     const size_t keyBytes =
-        spec.keyBytes != 0 ? spec.keyBytes : podKeyBytes_;
+        spec.keyBytes != 0 ? spec.keyBytes : classes_[cls].keyBytes;
     HEAP_CHECK(keyBytes <= cfg_.keyCacheBytes,
                "tenant " << tenantId << " key footprint (" << keyBytes
                          << " B) exceeds the pod key cache ("

@@ -150,7 +150,9 @@ struct ClusterConfig {
      *  accounting, not a real allocation). The default is 8 GiB of
      *  pod key memory — roughly four of the paper's ~1.8 GB
      *  scheme-switching key sets per pod. A tenant without a declared
-     *  footprint is charged the pods' BootstrapKeys::bytes(). */
+     *  footprint is charged its class's keys: the pods'
+     *  BootstrapKeys::bytes() for a bootstrap, and for a lookup the
+     *  RGSW bytes of its query (pir::PirParams::queryBytes()). */
     size_t keyCacheBytes = size_t{8} << 30;
     /** Per-pod circuit-breaker tuning (applied to every pod). */
     BreakerConfig breaker;
@@ -334,6 +336,9 @@ class ServiceCluster {
     /** A tenant class's flight shape and flight accounting. */
     struct ClassInfo {
         size_t items = 0; ///< pod items = admission units per request
+        /** Key-cache charge of a tenant that declares no footprint:
+         *  the keys a request of the class reads on its pod. */
+        size_t keyBytes = 0;
         uint64_t submitted = 0, completed = 0, failed = 0; ///< (m_)
     };
 
@@ -444,7 +449,6 @@ class ServiceCluster {
 
     TenantRegistry* registry_;
     ClusterConfig cfg_;
-    size_t podKeyBytes_ = 0; ///< BootstrapKeys::bytes() of the pods
     /** One pod table per tenant class, index = pod; the lookup table
      *  is empty without a configured pirServer. */
     std::array<PodTable, kClasses> tables_;

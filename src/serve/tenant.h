@@ -53,8 +53,12 @@ struct TenantSpec {
     /** Base scheduling priority added to each submission's own. */
     int priority = 0;
     /** Bytes of this tenant's key set that a pod's key cache must
-     *  hold; 0 = the pods' bootstrapping keys
-     *  (boot::BootstrapKeys::bytes()). */
+     *  hold; 0 = the keys of the request's class: the pods'
+     *  bootstrapping keys (boot::BootstrapKeys::bytes()) for a
+     *  bootstrap, the query's RGSW bits
+     *  (pir::PirParams::queryBytes()) for a lookup. A tenant that
+     *  submits both classes should declare one, since a resident
+     *  tenant keeps the charge it was loaded with. */
     size_t keyBytes = 0;
 };
 

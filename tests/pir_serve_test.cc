@@ -7,10 +7,12 @@
  * bootstrap pod's; a mixed bootstrap+PIR cluster serves both tenant
  * classes through shared routing/breakers/key caches with exact
  * admission conservation and weight-proportional served items within
- * each class; every answer reports the server's analytic noise
- * budget; PIR flights fail over byte-identically under a chaos crash;
- * and the failover thread's per-pod sweep batching re-dispatches an
- * accumulated retry backlog in one batch.
+ * each class; a lookup tenant without a declared key footprint is
+ * charged its query's RGSW bytes in the key cache; every answer
+ * reports the server's analytic noise budget; PIR flights fail over
+ * byte-identically under a chaos crash; and the failover thread's
+ * per-pod sweep batching re-dispatches an accumulated retry backlog
+ * in one batch.
  */
 
 #include <algorithm>
@@ -374,6 +376,48 @@ TEST(PirCluster, MixedTenantClassesShareTheCluster)
         EXPECT_EQ(t.inFlight, 0u) << t.name;
         EXPECT_EQ(t.submitted, t.completed + t.failed) << t.name;
     }
+}
+
+TEST(PirCluster, LookupTenantsAreChargedTheirQueryBytes)
+{
+    // Lookup tenants that declare no key footprint are charged the
+    // keys a lookup reads, its query's RGSW bits, not the pods'
+    // bootstrapping keys. One request at a time, so nothing spills:
+    // each tenant misses once, on its preferred pod, and hits after.
+    const uint64_t seed = 42;
+    auto pods = makePods(seed, 2, 1);
+    const PirWorld w = makePirWorld(seed);
+    TenantRegistry reg;
+    const std::vector<uint64_t> ids{31, 32, 33};
+    for (const uint64_t id : ids) {
+        reg.registerTenant(TenantSpec{.id = id});
+    }
+    ClusterConfig cfg;
+    cfg.pirServer = w.server.get();
+    ServiceCluster cluster(distPtrs(pods), reg, cfg);
+
+    // 6 bits x 2 halves x (2 limbs x 6 digits) rows x 2 polys x
+    // 2 limbs x 64 words.
+    const size_t queryBytes = size_t{6} * 2 * 12 * 2 * 2 * 64 * 8;
+    ASSERT_EQ(w.params.queryBytes(), queryBytes);
+    ASSERT_LT(queryBytes, pods.dists[0]->keys().bytes());
+
+    const auto queries = makeQueries(w, seed, {5, 17, 33, 48, 60, 9});
+    for (size_t i = 0; i < queries.size(); ++i) {
+        const rlwe::Ciphertext ans =
+            cluster.submitPir(ids[i % ids.size()], queries[i])->wait();
+        EXPECT_EQ(answerBytes(ans),
+                  answerBytes(w.server->answer(*queries[i])))
+            << "lookup " << i;
+    }
+    cluster.drain();
+
+    const ClusterMetrics m = cluster.metrics();
+    EXPECT_EQ(m.pirCompleted, queries.size());
+    EXPECT_EQ(m.spilled, 0u);
+    EXPECT_EQ(m.keyCacheTotal.misses, ids.size());
+    EXPECT_EQ(m.keyCacheTotal.hits, queries.size() - ids.size());
+    EXPECT_EQ(m.keyCacheTotal.bytesLoaded, ids.size() * queryBytes);
 }
 
 /** Within-class weighted fairness: max over min of served items per

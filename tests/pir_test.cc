@@ -4,7 +4,8 @@
  * decrypt to the EXACT database entry for every queried index, for
  * seeds {7, 21, 42}, a >= 64-entry database, and >= 2 dimensions;
  * the monolithic fold and the serving decomposition (per-group first
- * pass + finishFold) are byte-identical; the analytic noise-budget
+ * pass + finishFold) are byte-identical, and equal to a plain CMux fold
+ * over leaves stored as full RNS polynomials; the analytic noise-budget
  * floor is positive and honest against the measured phase error.
  */
 
@@ -13,6 +14,7 @@
 #include "ckks/serialize.h"
 #include "math/primes.h"
 #include "pir/pir.h"
+#include "tfhe/blind_rotate.h"
 
 namespace heap {
 namespace {
@@ -129,6 +131,75 @@ TEST(PirLookup, DecompositionMatchesMonolithicByteExactly)
             server.finishFold(q, std::move(firstPass));
         EXPECT_EQ(answerBytes(mono), answerBytes(staged))
             << "index " << index;
+    }
+}
+
+/**
+ * The fold the server computes, restated over leaves built as full
+ * RNS polynomials (rnsFromSigned of each scaled, zero-padded entry)
+ * and folded by plain tfhe::cmux, every query bit in order over the
+ * whole table: adjacent pairs within a dimension-0 group are adjacent
+ * in the table, and later dimensions fold the group results in order.
+ */
+rlwe::Ciphertext
+fullLeafFold(const pir::PirParams& p,
+             const std::vector<std::vector<int64_t>>& db,
+             const pir::PirQuery& q)
+{
+    const int64_t delta = int64_t{1} << p.scaleBits;
+    std::vector<rlwe::Ciphertext> table;
+    for (size_t t = 0; t < p.totalCells(); ++t) {
+        std::vector<int64_t> coeffs(p.basis->n(), 0);
+        for (size_t i = 0; t < db.size() && i < db[t].size(); ++i) {
+            coeffs[i] = db[t][i] * delta;
+        }
+        table.push_back(rlwe::trivialEncrypt(
+            math::rnsFromSigned(p.basis, p.limbs, coeffs)));
+    }
+    for (const auto& dim : q.dimBits) {
+        for (const rlwe::RgswCiphertext& bit : dim) {
+            std::vector<rlwe::Ciphertext> next;
+            for (size_t i = 0; i + 1 < table.size(); i += 2) {
+                next.push_back(tfhe::cmux(bit, table[i], table[i + 1]));
+            }
+            table = std::move(next);
+        }
+    }
+    EXPECT_EQ(table.size(), 1u);
+    return table[0];
+}
+
+// The server keeps each cell as a few trimmed coefficients and builds
+// its leaf only when the group folds; the answer must not change by a
+// byte. Entries that are all zero, end in zeros or are short, and
+// zero-padded tail cells exercise the trimming.
+TEST(PirLookup, CompactCellsMatchFullPolynomialLeaves)
+{
+    for (const size_t n : {size_t{64}, size_t{1024}}) {
+        SCOPED_TRACE(::testing::Message() << "n = " << n);
+        pir::PirParams p = n == 64 ? smallParams({8, 8}, 50)
+                                   : smallParams({4, 4}, 13);
+        p.basis = std::make_shared<math::RnsBasis>(
+            n, math::generateNttPrimes(30, n, 2));
+        Rng rng(n + 5);
+        const auto sk = rlwe::SecretKey::sampleTernary(p.basis, rng);
+        auto db = pir::randomDatabase(p, n);
+        db[1].assign(p.payloadCoeffs, 0);
+        db[2][p.payloadCoeffs - 1] = 0;
+        db[2][p.payloadCoeffs - 2] = 0;
+        db[3].resize(3);
+        const pir::PirServer server(p, db);
+        const pir::PirClient client(p, sk);
+        for (const size_t index : {size_t{0}, size_t{1}, size_t{2},
+                                   size_t{3}, p.entries - 1}) {
+            const pir::PirQuery q = client.makeQuery(index, rng);
+            const rlwe::Ciphertext ans = server.answer(q);
+            EXPECT_EQ(answerBytes(ans), answerBytes(fullLeafFold(p, db, q)))
+                << "index " << index;
+            std::vector<int64_t> want = db[index];
+            want.resize(p.payloadCoeffs, 0);
+            EXPECT_EQ(client.decode(ans), want) << "index " << index;
+        }
     }
 }
 

@@ -2,13 +2,16 @@
  * @file
  * RNS layer tests: basis construction, domain conversions, ring
  * arithmetic across limbs, rescaling (division by the dropped prime),
- * and centered CRT recomposition.
+ * embedding of short signed coefficient lists, and centered CRT
+ * recomposition.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "math/primes.h"
 #include "math/rns.h"
@@ -143,6 +146,23 @@ TEST(RnsPoly, RescaleDividesByDroppedPrime)
         EXPECT_EQ(p.limb(i)[5], fromCentered(1, q));
         EXPECT_EQ(p.limb(i)[2], 0u);
     }
+}
+
+TEST(RnsPoly, FromSignedZeroPadsShortInput)
+{
+    const auto basis = makeBasis(2);
+    const std::vector<int64_t> low{5, -9, 0, 123456789};
+    std::vector<int64_t> padded(kN, 0);
+    std::copy(low.begin(), low.end(), padded.begin());
+    const auto shortPoly = rnsFromSigned(basis, 2, low);
+    const auto fullPoly = rnsFromSigned(basis, 2, padded);
+    EXPECT_EQ(shortPoly.domain(), Domain::Coeff);
+    EXPECT_TRUE(std::ranges::equal(shortPoly.flat(), fullPoly.flat()));
+    EXPECT_TRUE(std::ranges::all_of(
+        rnsFromSigned(basis, 2, std::vector<int64_t>{}).flat(),
+        [](uint64_t w) { return w == 0; }));
+    padded.push_back(1);
+    EXPECT_THROW(rnsFromSigned(basis, 2, padded), UserError);
 }
 
 TEST(RnsPoly, RescaleRoundsNonMultiples)

@@ -471,9 +471,14 @@ oracleExternalProduct(const rlwe::Ciphertext& ct,
 
 // Every gadget product entry point runs one lazily reduced core; the
 // textbook sum above reduces after every step, so any lost or extra
-// reduction in the core shows up as a differing word.
+// reduction in the core shows up as a differing word. The core skips
+// a zero input block, which the textbook sum still adds row by row:
+// each entry point also runs a trivial encryption (a = 0), a zero b,
+// and the zero ciphertext.
 TEST(GadgetProductOracle, EntryPointsMatchTextbookSum)
 {
+    const char* const kZeroHalves[] = {"no zero half", "a = 0", "b = 0",
+                                       "a = b = 0"};
     for (const FusedShape& shape : kFusedShapes) {
         const auto basis = std::make_shared<math::RnsBasis>(
             shape.n, math::generateNttPrimes(shape.primeBits, shape.n,
@@ -491,34 +496,44 @@ TEST(GadgetProductOracle, EntryPointsMatchTextbookSum)
             for (auto& v : m) {
                 v = static_cast<int64_t>(rng.uniform(1 << 20)) - (1 << 19);
             }
-            auto ct = rlwe::encrypt(
+            const auto fresh = rlwe::encrypt(
                 sk, math::rnsFromSigned(basis, shape.limbs, m), rng);
-            ASSERT_EQ(ct.domain(), math::Domain::Eval);
-            for (int pass = 0; pass < 2; ++pass) {
-                SCOPED_TRACE(pass == 0 ? "Eval input" : "Coeff input");
-                const auto want0 =
-                    ciphertextWords(oracleExternalProduct(ct, C0));
-                const auto want1 =
-                    ciphertextWords(oracleExternalProduct(ct, C1));
-                EXPECT_EQ(ciphertextWords(rlwe::externalProduct(ct, C0)),
-                          want0);
-                const auto [got0, got1] =
-                    rlwe::externalProductPair(ct, C0, C1);
-                EXPECT_EQ(ciphertextWords(got0), want0);
-                EXPECT_EQ(ciphertextWords(got1), want1);
-                ct.toCoeff();
-            }
-            // gadgetApply takes Coeff input only; check it at the full
-            // basis and one limb down, where the key rows are used
-            // restricted to the input's limbs.
-            math::RnsPoly evalA = ct.a;
-            evalA.toEval();
-            EXPECT_THROW(rlwe::gadgetApply(evalA, C1.forA), UserError);
-            for (const size_t limbs : {shape.limbs, shape.limbs - 1}) {
-                const math::RnsPoly x = ct.a.restrictedTo(limbs);
-                EXPECT_EQ(ciphertextWords(rlwe::gadgetApply(x, C1.forA)),
-                          ciphertextWords(oracleGadgetApply(x, C1.forA)))
-                    << limbs << " limbs";
+            ASSERT_EQ(fresh.domain(), math::Domain::Eval);
+            for (int zeros = 0; zeros < 4; ++zeros) {
+                SCOPED_TRACE(kZeroHalves[zeros]);
+                auto ct = fresh;
+                if ((zeros & 1) != 0) {
+                    ct.a.setZero();
+                }
+                if ((zeros & 2) != 0) {
+                    ct.b.setZero();
+                }
+                for (int pass = 0; pass < 2; ++pass) {
+                    SCOPED_TRACE(pass == 0 ? "Eval input" : "Coeff input");
+                    const auto want0 =
+                        ciphertextWords(oracleExternalProduct(ct, C0));
+                    const auto want1 =
+                        ciphertextWords(oracleExternalProduct(ct, C1));
+                    EXPECT_EQ(ciphertextWords(rlwe::externalProduct(ct, C0)),
+                              want0);
+                    const auto [got0, got1] =
+                        rlwe::externalProductPair(ct, C0, C1);
+                    EXPECT_EQ(ciphertextWords(got0), want0);
+                    EXPECT_EQ(ciphertextWords(got1), want1);
+                    ct.toCoeff();
+                }
+                // gadgetApply takes Coeff input only; check it at the full
+                // basis and one limb down, where the key rows are used
+                // restricted to the input's limbs.
+                math::RnsPoly evalA = ct.a;
+                evalA.toEval();
+                EXPECT_THROW(rlwe::gadgetApply(evalA, C1.forA), UserError);
+                for (const size_t limbs : {shape.limbs, shape.limbs - 1}) {
+                    const math::RnsPoly x = ct.a.restrictedTo(limbs);
+                    EXPECT_EQ(ciphertextWords(rlwe::gadgetApply(x, C1.forA)),
+                              ciphertextWords(oracleGadgetApply(x, C1.forA)))
+                        << limbs << " limbs";
+                }
             }
         }
     }

@@ -364,6 +364,76 @@ BM_MacLazyGroup(benchmark::State& state)
 }
 BENCHMARK(BM_MacLazyGroup)->Arg(1)->Arg(36);
 
+// The elementwise kernels and the digit split per SIMD level: the
+// measurement behind keeping a hand-written body or the portable loop
+// (DESIGN.md, "Flat kernels"). Args are (level, op, n, q bits); the
+// label names the level that ran and the op. Add, sub, neg and the
+// Shoup pair run in place (dst == a), as RnsPoly's in-place ops call
+// them; the split takes balanced digits of B = 2^6 (six of them for a
+// 30-bit q, ten for 59 bits), boot_single's gadget.
+const char* const kElementwiseOps[] = {"add",   "sub",        "neg",
+                                       "lift",  "shoup",      "shoupAccum",
+                                       "split"};
+
+void
+BM_Elementwise(benchmark::State& state)
+{
+    const math::KernelOps& ops =
+        math::kernelsForLevel(kBenchLevels[state.range(0)]);
+    const int64_t op = state.range(1);
+    const size_t n = static_cast<size_t>(state.range(2));
+    const int bits = static_cast<int>(state.range(3));
+    const uint64_t q = pickPrime(n, bits);
+    Rng rng(12);
+    std::vector<uint64_t> a(n), b(n);
+    std::vector<int64_t> digits(10 * n);
+    for (size_t i = 0; i < n; ++i) {
+        a[i] = rng.uniform(q);
+        b[i] = rng.uniform(q);
+        digits[i] = static_cast<int64_t>(rng.uniform(64)) - 32;
+    }
+    const uint64_t w = rng.uniform(q);
+    const uint64_t ws = math::shoupPrecompute(w, q);
+    const int splitDigits = bits / 6 + 1;
+    for (auto _ : state) {
+        switch (op) {
+        case 0:
+            ops.addMod(a.data(), a.data(), b.data(), n, q);
+            break;
+        case 1:
+            ops.subMod(a.data(), a.data(), b.data(), n, q);
+            break;
+        case 2:
+            ops.negMod(a.data(), a.data(), n, q);
+            break;
+        case 3:
+            ops.liftSigned(b.data(), digits.data(), n, q);
+            break;
+        case 4:
+            ops.mulScalarShoup(a.data(), a.data(), w, ws, n, q);
+            break;
+        case 5:
+            ops.mulScalarShoupAccum(a.data(), b.data(), w, ws, n, q);
+            break;
+        default:
+            ops.splitDigits(digits.data(), a.data(), n, q, 6, splitDigits,
+                            true);
+        }
+        benchmark::DoNotOptimize(a.data());
+        benchmark::DoNotOptimize(b.data());
+        benchmark::DoNotOptimize(digits.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+    state.SetLabel(std::string(math::simdLevelName(ops.level)) + " "
+                   + kElementwiseOps[op]);
+}
+BENCHMARK(BM_Elementwise)
+    ->ArgsProduct({{0, 1, 2, 3},
+                   {0, 1, 2, 3, 4, 5, 6},
+                   {64, 1024, 8192},
+                   {30, 59}});
+
 void
 BM_KeySwitch(benchmark::State& state)
 {

@@ -152,6 +152,8 @@ detail::macReduceScalar(uint64_t* const* dst, const uint64_t* acc,
 
 namespace {
 
+#include "math/kernels_portable.h"
+
 void
 mulModScalar(uint64_t* dst, const uint64_t* a, const uint64_t* b,
              size_t n, const BarrettReducer& red)
@@ -168,32 +170,6 @@ mulModAccumScalar(uint64_t* dst, const uint64_t* a, const uint64_t* b,
     const uint64_t q = red.modulus();
     for (size_t i = 0; i < n; ++i) {
         dst[i] = addMod(dst[i], red.mulMod(a[i], b[i]), q);
-    }
-}
-
-void
-addModScalar(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-             size_t n, uint64_t q)
-{
-    for (size_t i = 0; i < n; ++i) {
-        dst[i] = addMod(a[i], b[i], q);
-    }
-}
-
-void
-subModScalar(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-             size_t n, uint64_t q)
-{
-    for (size_t i = 0; i < n; ++i) {
-        dst[i] = subMod(a[i], b[i], q);
-    }
-}
-
-void
-negModScalar(uint64_t* dst, const uint64_t* a, size_t n, uint64_t q)
-{
-    for (size_t i = 0; i < n; ++i) {
-        dst[i] = negMod(a[i], q);
     }
 }
 
@@ -215,17 +191,6 @@ mulScalarShoupAccumScalar(uint64_t* dst, const uint64_t* a, uint64_t w,
     }
 }
 
-void
-liftSignedScalar(uint64_t* dst, const int64_t* a, size_t n, uint64_t q)
-{
-    for (size_t i = 0; i < n; ++i) {
-        const int64_t v = a[i];
-        // Branchless fromCentered for |v| < q: add q iff v < 0.
-        dst[i] = static_cast<uint64_t>(v)
-                 + (q & static_cast<uint64_t>(v >> 63));
-    }
-}
-
 KernelOps
 makeScalarOps()
 {
@@ -235,14 +200,11 @@ makeScalarOps()
     ops.nttInverse = &detail::nttInverseScalarLazy;
     ops.mulMod = &mulModScalar;
     ops.mulModAccum = &mulModAccumScalar;
-    ops.addMod = &addModScalar;
-    ops.subMod = &subModScalar;
-    ops.negMod = &negModScalar;
+    installPortableKernels(ops);
     ops.mulScalarShoup = &mulScalarShoupScalar;
     ops.mulScalarShoupAccum = &mulScalarShoupAccumScalar;
-    ops.liftSigned = &liftSignedScalar;
     ops.liftNttRows =
-        &detail::liftNttRowsPerRow<&liftSignedScalar,
+        &detail::liftNttRowsPerRow<&liftSignedLoop,
                                    &detail::nttForwardScalarLazy>;
     ops.macLazy = &detail::macLazyScalar;
     ops.macReduce = &detail::macReduceScalar;

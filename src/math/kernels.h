@@ -8,6 +8,15 @@
  * array — one RnsPoly limb of the limb-major layout — with all
  * per-modulus constants hoisted out of the loop.
  *
+ * One body per loop, compiled per ISA (DESIGN.md "Flat kernels"): the
+ * elementwise kernels (add, sub, neg, lift) and the gadget digit split
+ * are written once, in math/kernels_portable.h, and each table's file
+ * compiles its own copy under its own -m flags. Hand-written
+ * intrinsics remain only where BM_Elementwise and the NTT/gadget
+ * benches (bench/micro_kernels) measure them faster than the level
+ * below: the NTTs, the AVX-512 Shoup scalar pair, and the AVX-512
+ * IFMA row-lane and MAC kernels.
+ *
  * Reduction discipline (see DESIGN.md "Limb-major math core"):
  *  - all kernel *inputs and outputs* are fully reduced to [0, q);
  *  - *inside* the NTT kernels values are kept lazily reduced —
@@ -25,7 +34,7 @@
  *    variant or on where its budget forced a mid-loop reduction;
  *  - every variant (scalar / AVX2 / AVX-512, whose table takes the
  *    IFMA NTT and MAC bodies when the CPU has avx512ifma / NEON)
- *    produces byte-identical output, MAC included;
+ *    produces byte-identical output, MAC and digits included;
  *    tests/simd_equivalence_test.cc enforces this.
  *
  * Use kernels() for the process-wide dispatched table (selected once
@@ -113,6 +122,20 @@ struct KernelOps {
      */
     void (*liftSigned)(uint64_t* dst, const int64_t* a, size_t n,
                        uint64_t q);
+    /**
+     * The gadget digit split of one limb (rlwe/gadget.cc): writes
+     * `digits` rows of base-B digits of src, B = 2^baseBits, row j at
+     * dst[j * n, +n), so that sum_j row_j[t] * B^j = src[t] (mod q).
+     * Unsigned digits are in [0, B); balanced ones, taken from the
+     * centered representative of src[t], are in [-B/2, B/2], a tie at
+     * +-B/2 resolved as a truncating v % B resolves it, and the top row
+     * keeps the final quotient.
+     * @pre src[t] < q; 1 <= baseBits <= 32; digits * baseBits covers
+     *      q's bits; dst does not overlap src.
+     */
+    void (*splitDigits)(int64_t* dst, const uint64_t* src, size_t n,
+                        uint64_t q, int baseBits, int digits,
+                        bool balanced);
     /**
      * The gadget product's digit transform (rlwe/gadget.cc): lifts
      * `count` signed digit rows, row r at digits[r * t.n, +t.n), into

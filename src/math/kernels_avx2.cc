@@ -9,9 +9,11 @@
  * Shoup multiplication are synthesized from _mm256_mul_epu32 partials
  * — the same widening-multiplier decomposition the paper's DSP
  * packing performs in hardware (Section IV-A). The wins come from
- * 4-wide butterflies, branchless lazy reductions, and 4-wide
- * add/sub/compare; the Barrett 128-bit pointwise reduction stays
- * scalar (the emulation would cost more than the scalar mul chain).
+ * 4-wide NTT butterflies and branchless lazy reductions; the
+ * elementwise kernels and the digit split are this file's copy of the
+ * portable loops (math/kernels_portable.h), and the pointwise Barrett
+ * and Shoup products stay scalar (the emulation costs as much as the
+ * scalar mul chain or more).
  */
 
 #if defined(HEAP_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
@@ -22,6 +24,8 @@
 
 namespace heap::math {
 namespace {
+
+#include "math/kernels_portable.h"
 
 const __m256i kSign = _mm256_set1_epi64x(
     static_cast<int64_t>(0x8000000000000000ULL));
@@ -242,136 +246,6 @@ nttInverseAvx2(uint64_t* a, const NttTablesView& t)
     }
 }
 
-void
-addModAvx2(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-           size_t n, uint64_t q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<int64_t>(q));
-    const __m256i q1s = signedLim(qv);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + i));
-        const __m256i y = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(b + i));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(dst + i),
-            condSubV(_mm256_add_epi64(x, y), qv, q1s));
-    }
-    for (; i < n; ++i) {
-        dst[i] = addMod(a[i], b[i], q);
-    }
-}
-
-void
-subModAvx2(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-           size_t n, uint64_t q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<int64_t>(q));
-    const __m256i q1s = signedLim(qv);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + i));
-        const __m256i y = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(b + i));
-        // a - b + q in (0, 2q), then one conditional subtract.
-        const __m256i r =
-            _mm256_add_epi64(_mm256_sub_epi64(x, y), qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            condSubV(r, qv, q1s));
-    }
-    for (; i < n; ++i) {
-        dst[i] = subMod(a[i], b[i], q);
-    }
-}
-
-void
-negModAvx2(uint64_t* dst, const uint64_t* a, size_t n, uint64_t q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<int64_t>(q));
-    const __m256i zero = _mm256_setzero_si256();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + i));
-        const __m256i r = _mm256_sub_epi64(qv, x);
-        const __m256i isZero = _mm256_cmpeq_epi64(x, zero);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            _mm256_andnot_si256(isZero, r));
-    }
-    for (; i < n; ++i) {
-        dst[i] = negMod(a[i], q);
-    }
-}
-
-void
-mulScalarShoupAvx2(uint64_t* dst, const uint64_t* a, uint64_t w,
-                   uint64_t ws, size_t n, uint64_t q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<int64_t>(q));
-    const __m256i q1s = signedLim(qv);
-    const __m256i wv = _mm256_set1_epi64x(static_cast<int64_t>(w));
-    const __m256i wsv = _mm256_set1_epi64x(static_cast<int64_t>(ws));
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + i));
-        const __m256i r = shoupLazyV(x, wv, wsv, qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            condSubV(r, qv, q1s));
-    }
-    for (; i < n; ++i) {
-        dst[i] = mulModShoup(a[i], w, ws, q);
-    }
-}
-
-void
-mulScalarShoupAccumAvx2(uint64_t* dst, const uint64_t* a, uint64_t w,
-                        uint64_t ws, size_t n, uint64_t q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<int64_t>(q));
-    const __m256i q1s = signedLim(qv);
-    const __m256i wv = _mm256_set1_epi64x(static_cast<int64_t>(w));
-    const __m256i wsv = _mm256_set1_epi64x(static_cast<int64_t>(ws));
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + i));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(dst + i));
-        const __m256i r =
-            condSubV(shoupLazyV(x, wv, wsv, qv), qv, q1s);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(dst + i),
-            condSubV(_mm256_add_epi64(d, r), qv, q1s));
-    }
-    for (; i < n; ++i) {
-        dst[i] = addMod(dst[i], mulModShoup(a[i], w, ws, q), q);
-    }
-}
-
-void
-liftSignedAvx2(uint64_t* dst, const int64_t* a, size_t n, uint64_t q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<int64_t>(q));
-    const __m256i zero = _mm256_setzero_si256();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + i));
-        const __m256i isNeg = _mm256_cmpgt_epi64(zero, v);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(dst + i),
-            _mm256_add_epi64(v, _mm256_and_si256(qv, isNeg)));
-    }
-    for (; i < n; ++i) {
-        const int64_t v = a[i];
-        dst[i] = static_cast<uint64_t>(v)
-                 + (q & static_cast<uint64_t>(v >> 63));
-    }
-}
-
 } // namespace
 
 namespace detail {
@@ -379,18 +253,15 @@ namespace detail {
 void
 installAvx2Kernels(KernelOps& ops)
 {
+    installPortableKernels(ops);
     ops.nttForward = &nttForwardAvx2;
     ops.nttInverse = &nttInverseAvx2;
-    ops.addMod = &addModAvx2;
-    ops.subMod = &subModAvx2;
-    ops.negMod = &negModAvx2;
-    ops.mulScalarShoup = &mulScalarShoupAvx2;
-    ops.mulScalarShoupAccum = &mulScalarShoupAccumAvx2;
-    ops.liftSigned = &liftSignedAvx2;
     ops.liftNttRows =
-        &detail::liftNttRowsPerRow<&liftSignedAvx2, &nttForwardAvx2>;
+        &detail::liftNttRowsPerRow<&liftSignedLoop, &nttForwardAvx2>;
     // mulMod / mulModAccum stay scalar: the 128-bit Barrett reduction
     // has no profitable AVX2 formulation (no 64-bit vector multiply).
+    // The Shoup scalar pair stays scalar too: its emulated high
+    // multiply measured no faster than mulq (BM_Elementwise).
 }
 
 } // namespace detail

@@ -9,7 +9,9 @@
  * emulated high-half multiply; unsigned compares come for free as
  * mask registers. This is the widest software mirror of the paper's
  * DSP-packed modular multiplier array (Section IV-A): 8 butterflies
- * per instruction, branch-free lazy reduction.
+ * per instruction, branch-free lazy reduction. The elementwise kernels
+ * and the digit split are this file's copy of the portable loops
+ * (math/kernels_portable.h).
  */
 
 #if defined(HEAP_HAVE_AVX512) && (defined(__x86_64__) || defined(__i386__))
@@ -20,6 +22,8 @@
 
 namespace heap::math {
 namespace {
+
+#include "math/kernels_portable.h"
 
 // GCC 12's unmasked vpsrlq/vpmuludq intrinsics merge into
 // _mm512_undefined_epi32(), which -Wmaybe-uninitialized flags once
@@ -233,55 +237,6 @@ nttInverseAvx512(uint64_t* a, const NttTablesView& t)
 }
 
 void
-addModAvx512(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-             size_t n, uint64_t q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<int64_t>(q));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i s = _mm512_add_epi64(_mm512_loadu_si512(a + i),
-                                           _mm512_loadu_si512(b + i));
-        _mm512_storeu_si512(dst + i, condSubV(s, qv));
-    }
-    for (; i < n; ++i) {
-        dst[i] = addMod(a[i], b[i], q);
-    }
-}
-
-void
-subModAvx512(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-             size_t n, uint64_t q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<int64_t>(q));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i d = _mm512_add_epi64(
-            _mm512_sub_epi64(_mm512_loadu_si512(a + i),
-                             _mm512_loadu_si512(b + i)),
-            qv);
-        _mm512_storeu_si512(dst + i, condSubV(d, qv));
-    }
-    for (; i < n; ++i) {
-        dst[i] = subMod(a[i], b[i], q);
-    }
-}
-
-void
-negModAvx512(uint64_t* dst, const uint64_t* a, size_t n, uint64_t q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<int64_t>(q));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i x = _mm512_loadu_si512(a + i);
-        const __mmask8 nz = _mm512_test_epi64_mask(x, x);
-        _mm512_storeu_si512(dst + i, _mm512_maskz_sub_epi64(nz, qv, x));
-    }
-    for (; i < n; ++i) {
-        dst[i] = negMod(a[i], q);
-    }
-}
-
-void
 mulScalarShoupAvx512(uint64_t* dst, const uint64_t* a, uint64_t w,
                      uint64_t ws, size_t n, uint64_t q)
 {
@@ -320,25 +275,6 @@ mulScalarShoupAccumAvx512(uint64_t* dst, const uint64_t* a, uint64_t w,
 }
 
 void
-liftSignedAvx512(uint64_t* dst, const int64_t* a, size_t n, uint64_t q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<int64_t>(q));
-    const __m512i zero = _mm512_setzero_si512();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v = _mm512_loadu_si512(a + i);
-        const __mmask8 neg = _mm512_cmplt_epi64_mask(v, zero);
-        _mm512_storeu_si512(dst + i,
-                            _mm512_mask_add_epi64(v, neg, v, qv));
-    }
-    for (; i < n; ++i) {
-        const int64_t v = a[i];
-        dst[i] = static_cast<uint64_t>(v)
-                 + (q & static_cast<uint64_t>(v >> 63));
-    }
-}
-
-void
 liftNttRowsAvx512(uint64_t* rows, const int64_t* digits, size_t count,
                   const NttTablesView& t)
 {
@@ -351,7 +287,7 @@ liftNttRowsAvx512(uint64_t* rows, const int64_t* digits, size_t count,
         return;
     }
 #endif
-    detail::liftNttRowsPerRow<&liftSignedAvx512, &nttForwardAvx512>(
+    detail::liftNttRowsPerRow<&liftSignedLoop, &nttForwardAvx512>(
         rows, digits, count, t);
 }
 
@@ -367,14 +303,11 @@ installAvx512Kernels(KernelOps& ops)
     // multiplies per vector — measured slower than scalar here. The
     // MAC needs no reduction per product, so IFMA (52x52-bit products
     // split into two lanes) takes it when the CPU has the units.
+    installPortableKernels(ops);
     ops.nttForward = &nttForwardAvx512;
     ops.nttInverse = &nttInverseAvx512;
-    ops.addMod = &addModAvx512;
-    ops.subMod = &subModAvx512;
-    ops.negMod = &negModAvx512;
     ops.mulScalarShoup = &mulScalarShoupAvx512;
     ops.mulScalarShoupAccum = &mulScalarShoupAccumAvx512;
-    ops.liftSigned = &liftSignedAvx512;
     ops.liftNttRows = &liftNttRowsAvx512;
 #if defined(HEAP_HAVE_AVX512IFMA)
     if (cpuHasIfma()) {

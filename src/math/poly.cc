@@ -1,65 +1,9 @@
 #include "math/poly.h"
 
 #include "common/check.h"
-#include "math/kernels.h"
 #include "math/modarith.h"
 
 namespace heap::math {
-
-void
-polyAdd(std::span<const uint64_t> a, std::span<const uint64_t> b,
-        std::span<uint64_t> out, uint64_t q)
-{
-    HEAP_ASSERT(a.size() == b.size() && a.size() == out.size(),
-                "polyAdd size mismatch");
-    kernels().addMod(out.data(), a.data(), b.data(), a.size(), q);
-}
-
-void
-polySub(std::span<const uint64_t> a, std::span<const uint64_t> b,
-        std::span<uint64_t> out, uint64_t q)
-{
-    HEAP_ASSERT(a.size() == b.size() && a.size() == out.size(),
-                "polySub size mismatch");
-    kernels().subMod(out.data(), a.data(), b.data(), a.size(), q);
-}
-
-void
-polyNeg(std::span<const uint64_t> a, std::span<uint64_t> out, uint64_t q)
-{
-    HEAP_ASSERT(a.size() == out.size(), "polyNeg size mismatch");
-    kernels().negMod(out.data(), a.data(), a.size(), q);
-}
-
-void
-polyMulPointwise(std::span<const uint64_t> a, std::span<const uint64_t> b,
-                 std::span<uint64_t> out, uint64_t q)
-{
-    HEAP_ASSERT(a.size() == b.size() && a.size() == out.size(),
-                "polyMulPointwise size mismatch");
-    const BarrettReducer red(q);
-    kernels().mulMod(out.data(), a.data(), b.data(), a.size(), red);
-}
-
-void
-polyMulScalar(std::span<const uint64_t> a, uint64_t c,
-              std::span<uint64_t> out, uint64_t q)
-{
-    HEAP_ASSERT(a.size() == out.size(), "polyMulScalar size mismatch");
-    c %= q;
-    kernels().mulScalarShoup(out.data(), a.data(), c,
-                             shoupPrecompute(c, q), a.size(), q);
-}
-
-void
-polyMulScalarAccum(std::span<const uint64_t> a, uint64_t c,
-                   std::span<uint64_t> out, uint64_t q)
-{
-    HEAP_ASSERT(a.size() == out.size(), "polyMulScalarAccum size mismatch");
-    c %= q;
-    kernels().mulScalarShoupAccum(out.data(), a.data(), c,
-                                  shoupPrecompute(c, q), a.size(), q);
-}
 
 void
 polyMonomialMul(std::span<const uint64_t> a, uint64_t k,

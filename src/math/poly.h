@@ -3,9 +3,10 @@
  * Single-limb polynomial operations over Z_q[X]/(X^N + 1).
  *
  * Polynomials are plain coefficient vectors (length N, entries in
- * [0, q)); the functions here are the building blocks shared by the RNS
+ * [0, q)); the functions here are the permutations shared by the RNS
  * layer, the TFHE blind-rotation unit (negacyclic monomial rotations,
  * Section IV-A "Permute Unit") and the CKKS automorphism (Rotate).
+ * Elementwise arithmetic is the kernel table's (math/kernels.h).
  */
 
 #ifndef HEAP_MATH_POLY_H
@@ -16,31 +17,6 @@
 #include <vector>
 
 namespace heap::math {
-
-/** out[i] = (a[i] + b[i]) mod q. */
-void polyAdd(std::span<const uint64_t> a, std::span<const uint64_t> b,
-             std::span<uint64_t> out, uint64_t q);
-
-/** out[i] = (a[i] - b[i]) mod q. */
-void polySub(std::span<const uint64_t> a, std::span<const uint64_t> b,
-             std::span<uint64_t> out, uint64_t q);
-
-/** out[i] = (-a[i]) mod q. */
-void polyNeg(std::span<const uint64_t> a, std::span<uint64_t> out,
-             uint64_t q);
-
-/** out[i] = (a[i] * b[i]) mod q (evaluation-domain product). */
-void polyMulPointwise(std::span<const uint64_t> a,
-                      std::span<const uint64_t> b, std::span<uint64_t> out,
-                      uint64_t q);
-
-/** out[i] = (a[i] * c) mod q. */
-void polyMulScalar(std::span<const uint64_t> a, uint64_t c,
-                   std::span<uint64_t> out, uint64_t q);
-
-/** out[i] += a[i] * c (mod q). */
-void polyMulScalarAccum(std::span<const uint64_t> a, uint64_t c,
-                        std::span<uint64_t> out, uint64_t q);
 
 /**
  * Negacyclic monomial multiplication: out = a * X^k mod (X^N + 1).

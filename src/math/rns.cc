@@ -1,5 +1,6 @@
 #include "math/rns.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -173,10 +174,21 @@ RnsPoly::setZero()
     std::memset(data_.data(), 0, limbs_ * n_ * sizeof(uint64_t));
 }
 
+bool
+RnsPoly::isZero() const
+{
+    return std::ranges::none_of(flat(), [](uint64_t w) { return w != 0; });
+}
+
 void
 RnsPoly::toEval()
 {
     if (domain_ == Domain::Eval) {
+        return;
+    }
+    domain_ = Domain::Eval;
+    // Zero is zero in both domains (a trivial encryption's a half).
+    if (isZero()) {
         return;
     }
     // Limbs transform independently (distinct tables, distinct data).
@@ -188,13 +200,16 @@ RnsPoly::toEval()
             basis_->ntt(i).forward(limb(i));
         }
     }
-    domain_ = Domain::Eval;
 }
 
 void
 RnsPoly::toCoeff()
 {
     if (domain_ == Domain::Coeff) {
+        return;
+    }
+    domain_ = Domain::Coeff;
+    if (isZero()) {
         return;
     }
     if (limbs_ >= 2 && n_ >= kParallelNttMinN) {
@@ -205,7 +220,6 @@ RnsPoly::toCoeff()
             basis_->ntt(i).inverse(limb(i));
         }
     }
-    domain_ = Domain::Coeff;
 }
 
 namespace {

@@ -159,10 +159,16 @@ class RnsPoly {
     /** Overwrites all limbs with zero. */
     void setZero();
 
-    /** Converts all limbs to the evaluation domain (no-op if already). */
+    /** Whether every word of the active limbs is 0: the zero
+     *  polynomial, in either domain. Stops at the first nonzero word. */
+    bool isZero() const;
+
+    /** Converts all limbs to the evaluation domain (no-op if already;
+     *  the zero polynomial only changes its domain tag). */
     void toEval();
 
-    /** Converts all limbs to the coefficient domain (no-op if already). */
+    /** Converts all limbs to the coefficient domain (no-op if already;
+     *  the zero polynomial only changes its domain tag). */
     void toCoeff();
 
     /** Forces the domain tag without transforming (expert use). */

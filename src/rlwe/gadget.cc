@@ -10,7 +10,6 @@
 #include "common/parallel.h"
 #include "math/kernels.h"
 #include "math/modarith.h"
-#include "math/poly.h"
 #include "math/scratch.h"
 
 namespace heap::rlwe {
@@ -34,65 +33,20 @@ namespace {
 
 /**
  * The one digit routine: splits every active limb of x (Coeff domain)
- * into d base-B digits, digit (i, j) at out[(i*d + j) * n, +n).
- * Unsigned digits are the base-B words of the residue. Balanced digits
- * in [-B/2, B/2] come from the centered representative v by carry
- * propagation, without a divide: the digit is r = v mod B (the low
- * bits) less B when r > B/2, or when r = B/2 and v < 0 (the tie rule of
- * a truncating v % B), and the top digit absorbs the final quotient.
- * Each pass runs across all n coefficients, the top row carrying v.
+ * into d base-B digits, digit (i, j) at out[(i*d + j) * n, +n), one
+ * KernelOps::splitDigits call per limb.
  */
-#if defined(HEAP_HAVE_AVX512) && defined(__x86_64__) \
-    && !defined(__SANITIZE_THREAD__)
-// The digit passes are plain loops over 64-bit lanes; the portable
-// baseline (SSE2) has no 64-bit compare or arithmetic shift, so an
-// AVX-512 clone, chosen at load time on CPUs that have it, is what
-// vectorizes them. Integer code: every clone gives the same digits.
-// Thread-sanitized builds keep the default body: the clone's ifunc
-// resolver runs before TSan's runtime is up and faults.
-[[gnu::target_clones("default", "avx512f")]]
-#endif
 void
 decomposeInto(const math::RnsPoly& x, const GadgetParams& params,
               std::span<int64_t> out)
 {
     const size_t n = x.n();
     const int d = params.digitsPerLimb;
-    const int bits = params.baseBits;
-    const uint64_t mask = (1ULL << bits) - 1;
-    const uint64_t half = 1ULL << (bits - 1);
-    const int64_t base = 1LL << bits;
+    const math::KernelOps& ops = math::kernels();
     for (size_t i = 0; i < x.limbCount(); ++i) {
-        const uint64_t qi = x.basis().modulus(i);
-        const uint64_t* src = x.limb(i).data();
-        int64_t* dst = out.data() + i * static_cast<size_t>(d) * n;
-        if (!params.balanced) {
-            for (int j = 0; j < d; ++j) {
-                for (size_t t = 0; t < n; ++t) {
-                    dst[static_cast<size_t>(j) * n + t] =
-                        static_cast<int64_t>((src[t] >> (j * bits)) & mask);
-                }
-            }
-            continue;
-        }
-        int64_t* top = dst + static_cast<size_t>(d - 1) * n;
-        const uint64_t upper = (qi + 1) / 2;
-        for (size_t t = 0; t < n; ++t) {
-            top[t] = static_cast<int64_t>(src[t])
-                     - (src[t] >= upper ? static_cast<int64_t>(qi) : 0);
-        }
-        for (int j = 0; j + 1 < d; ++j) {
-            int64_t* row = dst + static_cast<size_t>(j) * n;
-            for (size_t t = 0; t < n; ++t) {
-                const int64_t v = top[t];
-                const uint64_t r = static_cast<uint64_t>(v) & mask;
-                const bool up = r > half || (r == half && v < 0);
-                const int64_t digit =
-                    static_cast<int64_t>(r) - (up ? base : 0);
-                row[t] = digit;
-                top[t] = (v - digit) >> bits;
-            }
-        }
+        ops.splitDigits(out.data() + i * static_cast<size_t>(d) * n,
+                        x.limb(i).data(), n, x.basis().modulus(i),
+                        params.baseBits, d, params.balanced);
     }
 }
 
@@ -157,8 +111,7 @@ gadgetProduct(const std::array<DigitBlock<Outputs>, Blocks>& blocks)
             HEAP_CHECK(K->rowCount() >= blockRows,
                        "gadget ciphertext has too few rows");
         }
-        if (std::ranges::any_of(block.x->flat(),
-                                [](uint64_t w) { return w != 0; })) {
+        if (!block.x->isZero()) {
             live[liveCount++] = &block;
             rows += blockRows;
         }

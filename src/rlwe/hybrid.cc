@@ -4,8 +4,8 @@
 
 #include "common/check.h"
 #include "math/baseconv.h"
+#include "math/kernels.h"
 #include "math/modarith.h"
-#include "math/poly.h"
 
 namespace heap::rlwe {
 
@@ -65,6 +65,7 @@ makeHybridKeySwitchKey(const SecretKey& to,
         pMod[i] = v;
     }
 
+    const math::KernelOps& ops = math::kernels();
     HybridKeySwitchKey ksk;
     ksk.groupSize = groupSize;
     ksk.specialLimbs = specialLimbs;
@@ -82,9 +83,13 @@ makeHybridKeySwitchKey(const SecretKey& to,
         for (size_t i = lo; i < hi; ++i) {
             const uint64_t qi = basis->modulus(i);
             std::vector<uint64_t> contrib(basis->n());
-            math::polyMulScalar(fromCoeff.limb(i), pMod[i], contrib, qi);
+            ops.mulScalarShoup(contrib.data(), fromCoeff.limb(i).data(),
+                               pMod[i], math::shoupPrecompute(pMod[i], qi),
+                               basis->n(), qi);
             basis->ntt(i).forward(contrib);
-            math::polyAdd(row.b.limb(i), contrib, row.b.limb(i), qi);
+            auto dst = row.b.limb(i);
+            ops.addMod(dst.data(), dst.data(), contrib.data(), basis->n(),
+                       qi);
         }
         ksk.rows.push_back(std::move(row));
     }

@@ -170,8 +170,9 @@ struct ClusterConfig {
      * bootstrap flights. Null = bootstrap-only cluster.
      */
     const pir::PirServer* pirServer = nullptr;
-    /** Per-pod PIR service configuration (pirServer set). */
-    PirServiceConfig pirPod;
+    /** Per-pod PIR service configuration (pirServer set); see
+     *  PirService for its batch cap and derived stage bounds. */
+    ServiceConfig pirPod;
 };
 
 /** Cluster-wide metrics snapshot (metrics()). */

@@ -20,26 +20,23 @@ lookup(PodRequest& r)
     return static_cast<PirRequest&>(r);
 }
 
-ServiceConfig
-podConfig(const PirServiceConfig& cfg)
+/** The lookup pod derives its stage bounds from the worker count. */
+const ServiceConfig&
+checkedPirConfig(const ServiceConfig& cfg)
 {
-    ServiceConfig pod;
-    pod.workers = cfg.workers;
-    pod.maxQueuedRequests = cfg.maxQueuedRequests;
-    pod.maxBatchItems = cfg.maxBatchItems;
-    pod.starvationPasses = cfg.starvationPasses;
-    return pod;
+    HEAP_CHECK(cfg.rotateQueueRequests == 0 && cfg.finishQueueRequests == 0,
+               "PirService derives its stage bounds from workers; "
+               "leave rotateQueueRequests and finishQueueRequests at 0");
+    return cfg;
 }
 
 } // namespace
 
-PirService::PirService(const pir::PirServer& server,
-                       PirServiceConfig cfg)
-    : Pod("pir", podConfig(cfg), cfg.workers,
+PirService::PirService(const pir::PirServer& server, ServiceConfig cfg)
+    : Pod("pir", checkedPirConfig(cfg), cfg.workers,
           cfg.maxBatchItems == 0 ? std::numeric_limits<size_t>::max()
                                  : cfg.maxBatchItems),
-      server_(&server),
-      cfg_(cfg)
+      server_(&server)
 {
     start();
 }

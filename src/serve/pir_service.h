@@ -33,31 +33,22 @@
 
 namespace heap::serve {
 
-/** PIR pod construction knobs. Stage bounds are derived from the
- *  worker count, as ServiceConfig's defaults are. */
-struct PirServiceConfig {
-    /** Worker threads: group folds and finish folds run on these;
-     *  each is also a batch lane. */
-    size_t workers = 1;
-    /** Admission cap: live queries (queued + running) beyond this are
-     *  rejected at submit(). Bounds service memory. */
-    size_t maxQueuedRequests = 64;
-    /** Batch size cap in first-dimension groups; 0 = everything
-     *  pending (one batch per dispatch). */
-    size_t maxBatchItems = 0;
-    /** Batches a pending query may be skipped by before it jumps the
-     *  priority order (starvation protection). */
-    size_t starvationPasses = 8;
-};
-
 /**
  * Asynchronous encrypted-lookup server over one immutable
  * pir::PirServer (shared, thread-safe: answer folds are const).
  */
 class PirService : public Pod {
   public:
-    /** @param server borrowed; must outlive the service. */
-    PirService(const pir::PirServer& server, PirServiceConfig cfg = {});
+    /**
+     * @param server borrowed; must outlive the service.
+     * @param cfg    workers (each also a batch lane), admission cap,
+     *               batch cap in first-dimension groups (0 = everything
+     *               pending, one batch per dispatch) and starvation
+     *               passes. The stage bounds are derived from workers:
+     *               a nonzero rotateQueueRequests or
+     *               finishQueueRequests is a UserError.
+     */
+    PirService(const pir::PirServer& server, ServiceConfig cfg = {});
 
     /** Drains accepted work, then joins the workers (shutdown()). */
     ~PirService() override;
@@ -82,8 +73,6 @@ class PirService : public Pod {
     request(std::shared_ptr<const pir::PirQuery> query,
             std::shared_ptr<PirTicket> ticket);
 
-    const PirServiceConfig& config() const { return cfg_; }
-
     const pir::PirServer& server() const { return *server_; }
 
   protected:
@@ -95,7 +84,6 @@ class PirService : public Pod {
 
   private:
     const pir::PirServer* server_;
-    PirServiceConfig cfg_;
 };
 
 } // namespace heap::serve

@@ -54,8 +54,9 @@
 
 namespace heap::serve {
 
-/** Pod construction knobs (BootstrapService's config; PirService
- *  maps its own onto it). */
+/** Pod construction knobs, shared by BootstrapService and
+ *  PirService. PirService takes the first four and derives its stage
+ *  bounds from workers. */
 struct ServiceConfig {
     /** Dispatch worker threads (front phases, batch exchanges, and
      *  finish phases all run on these). */
@@ -63,19 +64,20 @@ struct ServiceConfig {
     /** Admission cap: live requests (queued + running) beyond this
      *  are rejected at submit(). Bounds service memory. */
     size_t maxQueuedRequests = 64;
-    /** Batch size cap in LWE items; 0 = the ring dimension N (the
-     *  largest batch a SecondaryNode accepts). */
+    /** Batch size cap in items; 0 = the workload's default: the ring
+     *  dimension N for bootstraps (the largest batch a SecondaryNode
+     *  accepts), everything pending for lookups. */
     size_t maxBatchItems = 0;
     /** Batches a pending request may be skipped by before it jumps
      *  the priority order (starvation protection). */
     size_t starvationPasses = 8;
     /** Rotate-stage bound, counted in requests with undispatched
      *  items: front work is gated while the pool is at the bound.
-     *  0 = max(8, 2 * workers). */
+     *  0 = max(8, 2 * workers); PirService accepts only 0. */
     size_t rotateQueueRequests = 0;
     /** Finish-stage queue bound, counted in requests awaiting repack:
      *  batch dispatch is gated while the queue is full.
-     *  0 = max(2, workers). */
+     *  0 = max(2, workers); PirService accepts only 0. */
     size_t finishQueueRequests = 0;
 };
 

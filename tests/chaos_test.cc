@@ -437,7 +437,7 @@ struct PirRig {
     service(size_t workers)
     {
         return std::make_unique<PirService>(
-            *server, PirServiceConfig{.workers = workers});
+            *server, ServiceConfig{.workers = workers});
     }
 
     std::shared_ptr<const pir::PirQuery>

@@ -374,7 +374,7 @@ TEST(PipelineDrain, DrainCompletesWithItemsResidentInStageQueues)
     // The PIR pod: a paused backlog, small batches straddling
     // queries, and a drain that must see every finish through.
     const PirRig rig(42, 4);
-    PirService pirSvc(*rig.server, PirServiceConfig{
+    PirService pirSvc(*rig.server, ServiceConfig{
                                        .workers = 2,
                                        .maxQueuedRequests = 4,
                                        .maxBatchItems = 3,
@@ -417,7 +417,7 @@ TEST(PipelineDrain, ShutdownWhileStagesHoldWork)
     // The PIR pod, shut down with its backlog mid-pipeline.
     const PirRig rig(7, 3);
     std::vector<std::shared_ptr<PirTicket>> lookups;
-    PirService pirSvc(*rig.server, PirServiceConfig{.workers = 1});
+    PirService pirSvc(*rig.server, ServiceConfig{.workers = 1});
     for (const auto& q : rig.queries) {
         lookups.push_back(pirSvc.submit(q));
     }
@@ -453,7 +453,7 @@ TEST(PipelineDrain, DestructorDrainsBackloggedStageQueues)
     const PirRig rig(21, 4);
     std::vector<std::shared_ptr<PirTicket>> lookups;
     {
-        PirService pirSvc(*rig.server, PirServiceConfig{
+        PirService pirSvc(*rig.server, ServiceConfig{
                                            .workers = 2,
                                            .maxBatchItems = 5,
                                        });

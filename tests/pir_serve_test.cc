@@ -192,7 +192,7 @@ TEST(PirService, ByteIdenticalAcrossWorkerCounts)
         }
         for (const size_t workers : {1u, 2u, 8u}) {
             PirService svc(*w.server,
-                           PirServiceConfig{.workers = workers});
+                           ServiceConfig{.workers = workers});
             std::vector<std::shared_ptr<PirTicket>> tickets;
             for (const auto& q : queries) {
                 tickets.push_back(svc.submit(q));
@@ -221,13 +221,13 @@ TEST(PirService, ByteIdenticalAcrossWorkerCounts)
 TEST(PirService, RejectsMalformedQueriesAndBackpressure)
 {
     const PirWorld w = makePirWorld(7);
-    PirService svc(*w.server, PirServiceConfig{.workers = 1});
+    PirService svc(*w.server, ServiceConfig{.workers = 1});
     // Wrong dimension count.
     auto bad = std::make_shared<pir::PirQuery>();
     bad->dimBits.resize(1);
     EXPECT_THROW(svc.submit(bad), UserError);
     // Admission cap.
-    PirService tiny(*w.server, PirServiceConfig{
+    PirService tiny(*w.server, ServiceConfig{
                                    .workers = 1,
                                    .maxQueuedRequests = 1,
                                });
@@ -238,6 +238,13 @@ TEST(PirService, RejectsMalformedQueriesAndBackpressure)
     EXPECT_EQ(tiny.metrics().rejected, 1u);
     tiny.resume();
     EXPECT_EQ(w.client->decode(t0->wait()), w.db[3]);
+    // The stage bounds are derived from workers, never set.
+    EXPECT_THROW(PirService(*w.server,
+                            ServiceConfig{.rotateQueueRequests = 4}),
+                 UserError);
+    EXPECT_THROW(PirService(*w.server,
+                            ServiceConfig{.finishQueueRequests = 2}),
+                 UserError);
 }
 
 TEST(PirService, MalformedQueryNeverFailsItsBatchmates)
@@ -257,7 +264,7 @@ TEST(PirService, MalformedQueryNeverFailsItsBatchmates)
     cut.dimBits[0][0].forB =
         rlwe::GadgetCiphertext(std::move(rows), half.params());
 
-    PirService svc(*w.server, PirServiceConfig{.workers = 1});
+    PirService svc(*w.server, ServiceConfig{.workers = 1});
     svc.pause(); // one batch would carry all three
     auto t0 = svc.submit(queries[0]);
     EXPECT_THROW(svc.submit(std::make_shared<const pir::PirQuery>(cut)),
@@ -276,7 +283,7 @@ TEST(PirService, FaultAlphabetMatchesBootstrapSemantics)
 {
     const PirWorld w = makePirWorld(21);
     const auto queries = makeQueries(w, 21, {5, 9, 17});
-    PirService svc(*w.server, PirServiceConfig{.workers = 2});
+    PirService svc(*w.server, ServiceConfig{.workers = 2});
 
     // Injected fault: exactly the next request fails, retryably.
     svc.injectFailures(1);

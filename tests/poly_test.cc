@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for single-limb polynomial operations: ring arithmetic,
- * negacyclic monomial multiplication (the TFHE rotation unit), and the
- * Galois automorphism (the CKKS automorph unit).
+ * Tests for single-limb polynomial operations: negacyclic monomial
+ * multiplication (the TFHE rotation unit) and the Galois automorphism
+ * (the CKKS automorph unit). The elementwise kernels are tested per
+ * SIMD level in simd_equivalence_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -33,46 +34,6 @@ struct PolyFixture : ::testing::Test {
     }
 };
 
-TEST_F(PolyFixture, AddSubInverse)
-{
-    const auto a = random();
-    const auto b = random();
-    std::vector<uint64_t> c(kN), d(kN);
-    polyAdd(a, b, c, q);
-    polySub(c, b, d, q);
-    EXPECT_EQ(d, a);
-}
-
-TEST_F(PolyFixture, NegIsSubFromZero)
-{
-    const auto a = random();
-    std::vector<uint64_t> zero(kN, 0), n1(kN), n2(kN);
-    polyNeg(a, n1, q);
-    polySub(zero, a, n2, q);
-    EXPECT_EQ(n1, n2);
-}
-
-TEST_F(PolyFixture, ScalarMulMatchesRepeatedAdd)
-{
-    const auto a = random();
-    std::vector<uint64_t> triple(kN), acc(kN, 0);
-    polyMulScalar(a, 3, triple, q);
-    for (int i = 0; i < 3; ++i) {
-        polyAdd(acc, a, acc, q);
-    }
-    EXPECT_EQ(triple, acc);
-}
-
-TEST_F(PolyFixture, ScalarAccum)
-{
-    const auto a = random();
-    std::vector<uint64_t> acc(kN, 0), expect(kN);
-    polyMulScalarAccum(a, 5, acc, q);
-    polyMulScalarAccum(a, 7, acc, q);
-    polyMulScalar(a, 12, expect, q);
-    EXPECT_EQ(acc, expect);
-}
-
 TEST_F(PolyFixture, MonomialMulMatchesSchoolbook)
 {
     const auto a = random();
@@ -101,7 +62,9 @@ TEST_F(PolyFixture, MonomialMulFullPeriod)
     std::vector<uint64_t> byN(kN), by2N(kN), neg(kN);
     polyMonomialMul(a, kN, byN, q);
     polyMonomialMul(a, 2 * kN, by2N, q);
-    polyNeg(a, neg, q);
+    for (size_t i = 0; i < kN; ++i) {
+        neg[i] = negMod(a[i], q);
+    }
     EXPECT_EQ(byN, neg);
     EXPECT_EQ(by2N, a);
 }

@@ -79,6 +79,39 @@ TEST(RnsPoly, EvalCoeffRoundTrip)
     }
 }
 
+// Zero is zero in both domains, so toEval/toCoeff of the zero
+// polynomial only flip the domain tag; a polynomial whose one nonzero
+// word is the last still takes the transform.
+TEST(RnsPoly, ZeroTransformsOnlyFlipTheDomain)
+{
+    const auto basis = makeBasis();
+    RnsPoly zero(basis, 3, Domain::Coeff);
+    EXPECT_TRUE(zero.isZero());
+    zero.toEval();
+    EXPECT_EQ(zero.domain(), Domain::Eval);
+    EXPECT_TRUE(zero.isZero());
+    zero.toCoeff();
+    EXPECT_EQ(zero.domain(), Domain::Coeff);
+    EXPECT_TRUE(zero.isZero());
+
+    RnsPoly last(basis, 3, Domain::Coeff);
+    last.limb(2)[kN - 1] = 1;
+    EXPECT_FALSE(last.isZero());
+    last.toEval();
+    std::vector<uint64_t> oracle(kN, 0);
+    oracle[kN - 1] = 1;
+    basis->ntt(2).forwardScalar(oracle);
+    EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(),
+                           last.limb(2).begin()));
+    EXPECT_EQ(std::count(last.flat().begin(), last.flat().begin() + 2 * kN,
+                         0u),
+              static_cast<std::ptrdiff_t>(2 * kN));
+    last.toCoeff();
+    EXPECT_EQ(last.limb(2)[kN - 1], 1u);
+    EXPECT_EQ(std::count(last.flat().begin(), last.flat().end(), 0u),
+              static_cast<std::ptrdiff_t>(3 * kN - 1));
+}
+
 TEST(RnsPoly, AddSubRoundTrip)
 {
     const auto basis = makeBasis();

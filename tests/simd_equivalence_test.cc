@@ -1,8 +1,9 @@
 /**
  * @file
  * Byte-identity of every SIMD kernel variant against the strict
- * scalar oracle, fuzzed across seeds, ring dimensions and limb
- * counts. The library's contract (math/kernels.h) is that the
+ * scalar oracle (or, for the elementwise kernels and the digit split,
+ * whose loop bodies every level shares, per-element references),
+ * fuzzed across seeds, ring dimensions and limb counts. The library's contract (math/kernels.h) is that the
  * dispatched lazy-reduction kernels are indistinguishable from the
  * strict scalar path at every kernel boundary — these tests enforce
  * it with memcmp, not modular equality.
@@ -84,19 +85,27 @@ TEST(SimdEquivalence, NttMatchesStrictScalarOracle)
     }
 }
 
-// Pointwise kernels: every variant vs the scalar table, including
-// non-multiple-of-lane-width tails.
+// Pointwise kernels: every level, scalar included, against
+// per-element modarith.h results, out of place and in place (dst == a,
+// as RnsPoly's in-place ops call them), across non-multiple-of-lane-
+// width tails. The tables share their add/sub/neg/lift loops
+// (math/kernels_portable.h), so the scalar table cannot be the oracle.
+// The first words pin the edges: zeros (negMod's special case), q - 1
+// and equal operands, and digits +-(q - 1).
 TEST(SimdEquivalence, PointwiseKernelsMatchScalar)
 {
-    const KernelOps& ref = scalarKernels();
     for (const size_t n : {size_t{251}, size_t{1024}, size_t{4099}}) {
         for (const int bits : {30, 49, 60}) {
             const uint64_t q = generateNttPrimes(
                 bits, 8192, 1)[0]; // any prime < 2^bits works here
             const BarrettReducer red(q);
             for (const uint64_t seed : {5u, 6u}) {
-                const auto a = randomPoly(n, q, seed);
-                const auto b = randomPoly(n, q, seed + 100);
+                auto a = randomPoly(n, q, seed);
+                auto b = randomPoly(n, q, seed + 100);
+                const uint64_t edgeA[] = {0, 0, q - 1, q - 1, 1, 7};
+                const uint64_t edgeB[] = {0, q - 1, q - 1, 0, q - 1, 7};
+                std::copy(std::begin(edgeA), std::end(edgeA), a.begin());
+                std::copy(std::begin(edgeB), std::end(edgeB), b.begin());
                 Rng rng(seed + 200);
                 const uint64_t w = rng.uniform(q);
                 const uint64_t ws = shoupPrecompute(w, q);
@@ -104,54 +113,146 @@ TEST(SimdEquivalence, PointwiseKernelsMatchScalar)
                 for (auto& d : digits) {
                     d = static_cast<int64_t>(rng.uniform(2048)) - 1024;
                 }
+                const auto top = static_cast<int64_t>(q - 1);
+                digits[0] = top;
+                digits[1] = -top;
+                digits[2] = 0;
 
-                std::vector<uint64_t> want(n), got(n);
+                std::vector<uint64_t> add(n), sub(n), neg(n), mul(n),
+                    mulAcc(n), shoup(n), shoupAcc(n), lift(n);
+                for (size_t i = 0; i < n; ++i) {
+                    add[i] = addMod(a[i], b[i], q);
+                    sub[i] = subMod(a[i], b[i], q);
+                    neg[i] = negMod(a[i], q);
+                    mul[i] = mulModNaive(a[i], b[i], q);
+                    mulAcc[i] = addMod(b[i], mul[i], q);
+                    shoup[i] = mulModNaive(a[i], w, q);
+                    shoupAcc[i] = addMod(b[i], shoup[i], q);
+                    lift[i] = fromCentered(digits[i], q);
+                }
+
+                std::vector<uint64_t> got(n);
                 for (const SimdLevel lvl : kAllLevels) {
                     const KernelOps& ops = kernelsForLevel(lvl);
                     const char* name = simdLevelName(lvl);
 
-                    ref.mulMod(want.data(), a.data(), b.data(), n, red);
                     ops.mulMod(got.data(), a.data(), b.data(), n, red);
-                    ASSERT_EQ(want, got) << "mulMod " << name;
+                    ASSERT_EQ(mul, got) << "mulMod " << name;
 
-                    want = b;
                     got = b;
-                    ref.mulModAccum(want.data(), a.data(), b.data(), n,
-                                    red);
-                    ops.mulModAccum(got.data(), a.data(), b.data(), n,
-                                    red);
-                    ASSERT_EQ(want, got) << "mulModAccum " << name;
+                    ops.mulModAccum(got.data(), a.data(), b.data(), n, red);
+                    ASSERT_EQ(mulAcc, got) << "mulModAccum " << name;
 
-                    ref.addMod(want.data(), a.data(), b.data(), n, q);
                     ops.addMod(got.data(), a.data(), b.data(), n, q);
-                    ASSERT_EQ(want, got) << "addMod " << name;
+                    ASSERT_EQ(add, got) << "addMod " << name;
+                    got = a;
+                    ops.addMod(got.data(), got.data(), b.data(), n, q);
+                    ASSERT_EQ(add, got) << "addMod in place " << name;
 
-                    ref.subMod(want.data(), a.data(), b.data(), n, q);
                     ops.subMod(got.data(), a.data(), b.data(), n, q);
-                    ASSERT_EQ(want, got) << "subMod " << name;
+                    ASSERT_EQ(sub, got) << "subMod " << name;
+                    got = a;
+                    ops.subMod(got.data(), got.data(), b.data(), n, q);
+                    ASSERT_EQ(sub, got) << "subMod in place " << name;
 
-                    ref.negMod(want.data(), a.data(), n, q);
                     ops.negMod(got.data(), a.data(), n, q);
-                    ASSERT_EQ(want, got) << "negMod " << name;
+                    ASSERT_EQ(neg, got) << "negMod " << name;
+                    got = a;
+                    ops.negMod(got.data(), got.data(), n, q);
+                    ASSERT_EQ(neg, got) << "negMod in place " << name;
 
-                    ref.mulScalarShoup(want.data(), a.data(), w, ws, n,
-                                       q);
-                    ops.mulScalarShoup(got.data(), a.data(), w, ws, n,
-                                       q);
-                    ASSERT_EQ(want, got) << "mulScalarShoup " << name;
+                    ops.mulScalarShoup(got.data(), a.data(), w, ws, n, q);
+                    ASSERT_EQ(shoup, got) << "mulScalarShoup " << name;
+                    got = a;
+                    ops.mulScalarShoup(got.data(), got.data(), w, ws, n, q);
+                    ASSERT_EQ(shoup, got)
+                        << "mulScalarShoup in place " << name;
 
-                    want = b;
                     got = b;
-                    ref.mulScalarShoupAccum(want.data(), a.data(), w,
-                                            ws, n, q);
-                    ops.mulScalarShoupAccum(got.data(), a.data(), w,
-                                            ws, n, q);
-                    ASSERT_EQ(want, got)
+                    ops.mulScalarShoupAccum(got.data(), a.data(), w, ws, n,
+                                            q);
+                    ASSERT_EQ(shoupAcc, got)
                         << "mulScalarShoupAccum " << name;
 
-                    ref.liftSigned(want.data(), digits.data(), n, q);
                     ops.liftSigned(got.data(), digits.data(), n, q);
-                    ASSERT_EQ(want, got) << "liftSigned " << name;
+                    ASSERT_EQ(lift, got) << "liftSigned " << name;
+                }
+            }
+        }
+    }
+}
+
+// The gadget digit split: every level's splitDigits against the
+// truncating reference of rlwe_test's
+// BalancedDigitsMatchTruncatingReference (balanced: r = v % B, moved
+// into [-B/2, B/2], v = (v - r) / B, the top digit keeping v; unsigned:
+// the base-B words). Moduli of 30, 49, 52 and 62 bits; gadgets of
+// B = 2^6 and 2^18 with just enough digits, and B = 2^32 with one
+// digit more than needed (an unsigned digit past bit 64 is 0); ring
+// sizes from 8 to 1024 with tails no vector width divides. The first
+// words pin the balanced ties +-B/2 in the lowest two digits, the
+// centering boundary (q - 1) / 2, (q + 1) / 2, and 0, 1, q - 1.
+TEST(SimdEquivalence, DigitSplitMatchesReference)
+{
+    for (const int bits : {30, 49, 52, 62}) {
+        const uint64_t q = generateNttPrimes(bits, 8192, 1)[0];
+        for (const int baseBits : {6, 18, 32}) {
+            const int digits = (bits + baseBits - 1) / baseBits
+                               + (baseBits == 32 ? 1 : 0);
+            const int64_t base = int64_t{1} << baseBits;
+            const int64_t half = base / 2;
+            std::vector<uint64_t> pinned = {0, 1, q - 1, (q - 1) / 2,
+                                            (q + 1) / 2};
+            std::vector<int64_t> ties = {half, base - 1};
+            if (2 * baseBits < bits) {
+                ties.insert(ties.end(),
+                            {half * base + half, half * base - half});
+            }
+            for (const int64_t tie : ties) {
+                pinned.push_back(fromCentered(tie, q));
+                pinned.push_back(fromCentered(-tie, q));
+            }
+            for (const size_t n : {size_t{8}, size_t{13}, size_t{64},
+                                   size_t{127}, size_t{1024}}) {
+                for (const bool balanced : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "bits=" << bits << " B=2^" << baseBits
+                                 << " d=" << digits << " n=" << n
+                                 << " balanced=" << balanced);
+                    auto x = randomPoly(n, q, n * 100 + bits);
+                    std::copy_n(pinned.begin(), std::min(n, pinned.size()),
+                                x.begin());
+                    std::vector<int64_t> want(digits * n);
+                    for (size_t t = 0; t < n; ++t) {
+                        if (!balanced) {
+                            uint64_t v = x[t];
+                            for (int j = 0; j < digits; ++j) {
+                                want[j * n + t] = static_cast<int64_t>(
+                                    v % static_cast<uint64_t>(base));
+                                v /= static_cast<uint64_t>(base);
+                            }
+                            continue;
+                        }
+                        int64_t v = toCentered(x[t], q);
+                        for (int j = 0; j + 1 < digits; ++j) {
+                            int64_t r = v % base;
+                            if (r > half) {
+                                r -= base;
+                            } else if (r < -half) {
+                                r += base;
+                            }
+                            want[j * n + t] = r;
+                            v = (v - r) / base;
+                        }
+                        want[(digits - 1) * n + t] = v;
+                    }
+                    for (const SimdLevel lvl : kAllLevels) {
+                        std::vector<int64_t> got(digits * n, -12345);
+                        kernelsForLevel(lvl).splitDigits(
+                            got.data(), x.data(), n, q, baseBits, digits,
+                            balanced);
+                        ASSERT_EQ(want, got) << "level " << simdLevelName(lvl);
+                    }
                 }
             }
         }

@@ -88,6 +88,33 @@ TEST(SimdDispatch, EveryLevelResolvesToARunnableTable)
         EXPECT_NE(nullptr, ops.mulScalarShoupAccum)
             << simdLevelName(lvl);
         EXPECT_NE(nullptr, ops.liftSigned) << simdLevelName(lvl);
+        EXPECT_NE(nullptr, ops.splitDigits) << simdLevelName(lvl);
+    }
+}
+
+TEST(SimdDispatch, SharedLoopsAreCompiledPerLevel)
+{
+    // Every table's file compiles its own copy of the shared loops
+    // (math/kernels_portable.h) under its own ISA flags. Were those
+    // copies given external linkage, the linker could keep one body
+    // for all tables: vector code in the scalar table (SIGILL on older
+    // CPUs, and HEAP_FORCE_SCALAR silently vector), or scalar code in
+    // a vector one. So a runnable SIMD level must not share a pointer
+    // with the scalar table for any of them. (The NEON table keeps its
+    // own intrinsics and the scalar table's split: kernels_neon.cc does
+    // not include the shared loops.)
+    const KernelOps& scalar = scalarKernels();
+    for (const SimdLevel lvl : {SimdLevel::Avx2, SimdLevel::Avx512}) {
+        const KernelOps& ops = kernelsForLevel(lvl);
+        if (ops.level != lvl) {
+            continue; // not compiled in or not runnable here
+        }
+        const char* name = simdLevelName(lvl);
+        EXPECT_NE(scalar.addMod, ops.addMod) << name;
+        EXPECT_NE(scalar.subMod, ops.subMod) << name;
+        EXPECT_NE(scalar.negMod, ops.negMod) << name;
+        EXPECT_NE(scalar.liftSigned, ops.liftSigned) << name;
+        EXPECT_NE(scalar.splitDigits, ops.splitDigits) << name;
     }
 }
 
